@@ -1,7 +1,7 @@
 package inlinec_test
 
 // Randomized crash-consistency suite for the chaos-hardened profile
-// fleet. Each seed drives one schedule: a crash-safe profdb store on an
+// store. Each seed drives one schedule: a crash-safe profdb store on an
 // in-memory filesystem takes ingest traffic while a fault injector
 // breaks writes, fsyncs, and renames, and the "machine" is crashed
 // (with torn unsynced tails) between episodes. After every recovery

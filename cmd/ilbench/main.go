@@ -18,8 +18,6 @@
 //	ilbench -json        # machine-readable results (see BENCH_baseline.json)
 //	ilbench -bench espresso -baseline BENCH_baseline.json  # perf gate
 //	ilbench -bench espresso -profdb 32   # profile-database ingest/merge benchmark
-//	ilbench -fleet       # sharded ingest-tier load benchmark (single-node vs quorum fleet)
-//	ilbench -fleet -fleet-nodes 5 -fleet-replicas 2 -fleet-ingests 20000
 //	ilbench -cpuprofile cpu.pprof -memprofile mem.pprof    # hot-path profiling
 package main
 
@@ -57,11 +55,6 @@ func run(args []string, stdout, stderrW io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit machine-readable per-benchmark results instead of the tables")
 	postOpt := fs.Bool("postopt", false, "apply post-inline cleanup passes before measuring")
 	profdbSnaps := fs.Int("profdb", 0, "also run the profile-database pipeline benchmark with this many snapshots (0 = off)")
-	fleetRun := fs.Bool("fleet", false, "run the sharded ingest-tier load benchmark instead of the tables (single-node vs quorum fleet)")
-	fleetNodes := fs.Int("fleet-nodes", 3, "storage nodes in the -fleet quorum configuration")
-	fleetReplicas := fs.Int("fleet-replicas", 2, "replication factor in the -fleet quorum configuration")
-	fleetIngests := fs.Int("fleet-ingests", 2000, "snapshot POSTs per -fleet configuration")
-	fleetWorkers := fs.Int("fleet-workers", 8, "concurrent ingest clients for -fleet")
 	agreement := fs.Bool("agreement", false, "diff predicted-vs-measured inlining decisions instead of running the tables")
 	minAgree := fs.Float64("minagree", 0, "with -agreement, fail if the agreement score falls below this percentage")
 	ablation := fs.Bool("ablation", false, "run the design-choice ablation studies instead of the tables")
@@ -167,39 +160,6 @@ func run(args []string, stdout, stderrW io.Writer) int {
 		return 0
 	}
 
-	if *fleetRun {
-		name := "espresso"
-		if *benchName != "" {
-			name = *benchName
-		}
-		// Two configurations with identical load: the single node prices
-		// the bare WAL-fsync ack, the quorum fleet adds sharding and
-		// replication on top.
-		configs := [][2]int{{1, 1}, {*fleetNodes, *fleetReplicas}}
-		var fleetResults []*bench.FleetResult
-		for _, nr := range configs {
-			r, err := bench.RunFleet(name, nr[0], nr[1], *fleetWorkers, *fleetIngests, cfg)
-			if err != nil {
-				fmt.Fprintf(stderrW, "ilbench: %v\n", err)
-				return 1
-			}
-			fleetResults = append(fleetResults, r)
-		}
-		if *jsonOut {
-			data, err := bench.MarshalResultsFull(nil, cfg.Parallelism, nil, fleetResults)
-			if err != nil {
-				fmt.Fprintf(stderrW, "ilbench: %v\n", err)
-				return 1
-			}
-			stdout.Write(data)
-			return 0
-		}
-		for _, r := range fleetResults {
-			fmt.Fprint(stdout, r)
-		}
-		return 0
-	}
-
 	if *agreement {
 		names := []string{"espresso"}
 		if *benchName != "" {
@@ -220,7 +180,7 @@ func run(args []string, stdout, stderrW io.Writer) int {
 			agrResults = append(agrResults, r)
 		}
 		if *jsonOut {
-			data, err := bench.MarshalResultsAgreement(nil, cfg.Parallelism, nil, nil, agrResults)
+			data, err := bench.MarshalResults(nil, cfg.Parallelism, nil, agrResults)
 			if err != nil {
 				fmt.Fprintf(stderrW, "ilbench: %v\n", err)
 				return 1
@@ -315,7 +275,7 @@ outer:
 	}
 
 	if *jsonOut {
-		data, err := bench.MarshalResultsProfDB(results, cfg.Parallelism, pdbResults)
+		data, err := bench.MarshalResults(results, cfg.Parallelism, pdbResults, nil)
 		if err != nil {
 			fmt.Fprintf(stderrW, "ilbench: %v\n", err)
 			return 1

@@ -206,7 +206,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				if !strings.HasPrefix(*profdbSrc, "http://") && !strings.HasPrefix(*profdbSrc, "https://") {
 					return fail(err)
 				}
-				// A fleet daemon being down must not fail the compile: the
+				// The profile daemon being down must not fail the compile: the
 				// whole point of hybrid is surviving missing measurements,
 				// so degrade to pure prediction and keep going.
 				fmt.Fprintf(stderr, "ilcc: warning: profile database %s unavailable (%v); falling back to predicted weights\n",
@@ -220,7 +220,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				if !strings.HasPrefix(*profdbSrc, "http://") && !strings.HasPrefix(*profdbSrc, "https://") {
 					return fail(err) // a local file is deterministic config: failing it is a bug to surface
 				}
-				// A fleet daemon being down must not fail the compile:
+				// The profile daemon being down must not fail the compile:
 				// degrade to in-process profiling and keep going.
 				fmt.Fprintf(stderr, "ilcc: warning: profile database %s unavailable (%v); falling back to in-process profiling\n",
 					*profdbSrc, err)

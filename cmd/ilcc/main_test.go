@@ -299,7 +299,7 @@ func TestCLIProfDBErrors(t *testing.T) {
 	}
 }
 
-// TestCLIProfDBUnreachableDegrades: a dead fleet daemon must not fail
+// TestCLIProfDBUnreachableDegrades: a dead profile daemon must not fail
 // the compile — ilcc warns, falls back to in-process profiling, and
 // still inlines.
 func TestCLIProfDBUnreachableDegrades(t *testing.T) {

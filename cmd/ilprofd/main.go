@@ -1,32 +1,17 @@
-// Command ilprofd is the fleet profile-ingestion service. It runs in
-// one of two modes sharing one HTTP surface:
-//
-// Storage node (default) — a long-running daemon that accepts profdb
-// snapshots from any number of profiling machines, batches them into
-// one persistent WAL-backed profile database through a single writer,
-// and serves deterministic weighted merges back to compiler
-// invocations:
+// Command ilprofd is the profile-ingestion daemon: a long-running
+// server that accepts profdb snapshots from any number of profiling
+// machines, batches them into one persistent WAL-backed profile
+// database through a single writer, and serves deterministic weighted
+// merges back to compiler invocations:
 //
 //	ilprofd -db espresso.profdb -addr 127.0.0.1:7411
 //
-// Router (-router) — a stateless front end over N storage nodes that
-// consistent-hashes every snapshot by module fingerprint, replicates it
-// to R nodes, and acks only after every replica's WAL fsync; reads fan
-// in all nodes and serve the same merged snapshot a single node holding
-// all the data would:
-//
-//	ilprofd -router -peers http://n0:7411,http://n1:7411,http://n2:7411 -replicas 2
-//
-// API (both modes; see docs/fleet.md for the fleet semantics):
+// API:
 //
 //	POST /ingest            body: ILPROFSNAP payload (ilprof -post emits these)
 //	GET  /profile?fingerprint=<fp>[&halflife=N][&stale=W]
 //	                        merged ILPROFSNAP for that program version
-//	GET  /db                full database dump (ILPROFDB)
-//	GET  /healthz           readiness: node — store open + WAL clean;
-//	                        router — every shard reachable
-//	POST /repair            node: adopt pushed winner records;
-//	                        router: run one anti-entropy sweep
+//	GET  /healthz           readiness: store open + WAL clean
 //	GET  /stats             ingest/merge/staleness counters as JSON
 //	GET  /metrics           the same counters plus latency histograms, WAL
 //	                        fsync timings, and recovery state, in Prometheus
@@ -36,12 +21,12 @@
 // never disagree. Every request is answered with an X-Request-Id header
 // and logged as one JSON line to stderr.
 //
-// Responses to /ingest are sent only after the snapshot is committed (on
-// every replica, in router mode), so a client that ingests and
-// immediately fetches /profile observes its own write. A node rewrites
-// its database file atomically every -flush-every commits and once more
-// on shutdown (SIGINT/SIGTERM), so killing the daemon never loses
-// acknowledged data beyond the final flush.
+// Responses to /ingest are sent only after the snapshot is committed,
+// so a client that ingests and immediately fetches /profile observes
+// its own write. The daemon rewrites its database file atomically every
+// -flush-every commits and once more on shutdown (SIGINT/SIGTERM), so
+// killing the daemon never loses acknowledged data beyond the final
+// flush.
 package main
 
 import (
@@ -51,13 +36,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"flag"
 
 	"inlinec/internal/chaos"
-	"inlinec/internal/fleet"
 	"inlinec/internal/profdb"
 )
 
@@ -83,17 +66,11 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string), shutd
 	program := fs.String("program", "", "program name for a fresh database (else taken from the first snapshot)")
 	flushEvery := fs.Int("flush-every", 16, "write a fresh snapshot (and rotate the WAL) after this many committed snapshots")
 	chaosSpec := fs.String("chaos-fs", "", "fault-injection spec for the store filesystem (testing only), e.g. seed=1,write=0.02,sync=0.02,rename=0.01,torn=0.01")
-	router := fs.Bool("router", false, "run as the stateless fleet router instead of a storage node")
-	peers := fs.String("peers", "", "router mode: comma-separated storage-node base URLs")
-	replicas := fs.Int("replicas", 2, "router mode: replicas per record (clamped to the peer count)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *router {
-		return runRouter(*addr, *peers, *replicas, stdout, stderr, ready, shutdown)
-	}
 	if *dbPath == "" {
-		fmt.Fprintln(stderr, "ilprofd: -db is required (or -router -peers=...)")
+		fmt.Fprintln(stderr, "ilprofd: -db is required")
 		fs.PrintDefaults()
 		return 2
 	}
@@ -122,8 +99,8 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string), shutd
 		fmt.Fprintf(stderr, "ilprofd: CHAOS MODE: injecting filesystem faults (%s)\n", *chaosSpec)
 	}
 	db := store.DB()
-	s := fleet.NewStoreNode(store, *flushEvery, recovery)
-	s.SetLog(stderr)
+	s := newStoreNode(store, *flushEvery, recovery)
+	s.logw = stderr
 	s.Start()
 
 	ln, err := net.Listen("tcp", *addr)
@@ -159,52 +136,6 @@ func run(args []string, stdout, stderr io.Writer, ready func(addr string), shutd
 	}
 	final := s.DB() // writer drained: safe to read directly
 	fmt.Fprintf(stdout, "ilprofd: flushed %s: %d record(s), %d run(s), %d snapshot(s) ingested this session\n",
-		*dbPath, len(final.Records), final.TotalRuns(),
-		s.Registry().CounterValue("ilprofd_ingested_snapshots_total"))
-	return 0
-}
-
-// runRouter starts the stateless fleet front end.
-func runRouter(addr, peers string, replicas int, stdout, stderr io.Writer, ready func(addr string), shutdown <-chan struct{}) int {
-	var peerList []string
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, strings.TrimRight(p, "/"))
-		}
-	}
-	if len(peerList) == 0 {
-		fmt.Fprintln(stderr, "ilprofd: -router requires -peers")
-		return 2
-	}
-	rt, err := fleet.NewRouter(peerList, replicas, fleet.RouterOptions{Warn: stderr})
-	if err != nil {
-		fmt.Fprintf(stderr, "ilprofd: %v\n", err)
-		return 2
-	}
-	rt.SetLog(stderr)
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "ilprofd: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stderr, "ilprofd: router listening on %s (%d peer(s), %d replica(s))\n",
-		ln.Addr(), len(rt.Ring().Peers()), rt.Ring().Replicas())
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	hs := &http.Server{Handler: rt.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(stderr, "ilprofd: %v\n", err)
-		return 1
-	case <-shutdown:
-	}
-	fmt.Fprintln(stderr, "ilprofd: router shutting down")
-	hs.Close()
-	fmt.Fprintln(stdout, "ilprofd: router stopped")
+		*dbPath, len(final.Records), final.TotalRuns(), s.ingested.Value())
 	return 0
 }

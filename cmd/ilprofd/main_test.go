@@ -14,7 +14,6 @@ import (
 
 	"inlinec"
 	"inlinec/internal/bench"
-	"inlinec/internal/fleet"
 	"inlinec/internal/profdb"
 )
 
@@ -169,7 +168,7 @@ func TestConcurrentIngest(t *testing.T) {
 		}
 	}
 
-	s := fleet.NewNode(profdb.NewDB("t.c"), 0)
+	s := newNode(profdb.NewDB("t.c"), 0)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -220,7 +219,7 @@ func TestConcurrentIngest(t *testing.T) {
 // TestIngestRejections: bad payloads 400, program mismatches 409, and
 // neither corrupts the store.
 func TestIngestRejections(t *testing.T) {
-	s := fleet.NewNode(profdb.NewDB("a.c"), 0)
+	s := newNode(profdb.NewDB("a.c"), 0)
 	s.Start()
 	defer s.Stop()
 	ts := httptest.NewServer(s.Handler())

@@ -13,7 +13,7 @@ import (
 	"sync"
 	"testing"
 
-	"inlinec/internal/fleet"
+	"inlinec/internal/chaos"
 	"inlinec/internal/profdb"
 )
 
@@ -60,7 +60,7 @@ func parsePromText(t *testing.T, data []byte) map[string]float64 {
 // every count /stats reports against the /metrics export. Both views
 // read the same registry, so any disagreement is a bug in one of them.
 func TestStatsMetricsAgree(t *testing.T) {
-	s := fleet.NewNode(profdb.NewDB("burst.c"), 0)
+	s := newNode(profdb.NewDB("burst.c"), 0)
 	s.Start()
 	defer s.Stop()
 	ts := httptest.NewServer(s.Handler())
@@ -176,5 +176,82 @@ func TestStatsMetricsAgree(t *testing.T) {
 	// Histograms export the full bucket/sum/count triple.
 	if _, ok := metrics["ilprofd_commit_batch_records_bucket{le=\"+Inf\"}"]; !ok {
 		t.Error("/metrics is missing ilprofd_commit_batch_records_bucket{le=\"+Inf\"}")
+	}
+}
+
+// TestHealthzTracksWAL: a clean store-backed node reports ready along
+// with what recovery found; once a failed WAL fsync poisons the log,
+// /healthz turns 503 and /metrics exports ilprofd_ready 0.
+func TestHealthzTracksWAL(t *testing.T) {
+	m := chaos.NewMemFS()
+	inj := chaos.NewInjector(m, chaos.Config{Seed: 11, SyncErr: 1})
+	inj.SetEnabled(false)
+	store, recovery, err := profdb.Open(inj, "d/p.profdb", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStoreNode(store, 0, recovery)
+	s.Start()
+	defer func() {
+		inj.SetEnabled(false)
+		s.Stop()
+	}()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	type health struct {
+		Ready    bool   `json:"ready"`
+		Mode     string `json:"mode"`
+		WALClean bool   `json:"wal_clean"`
+		Recovery string `json:"recovery"`
+	}
+	healthz := func(wantCode int) health {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != wantCode {
+			t.Fatalf("GET /healthz: status %d, want %d", resp.StatusCode, wantCode)
+		}
+		var h health
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	h := healthz(http.StatusOK)
+	if !h.Ready || !h.WALClean || h.Mode != "store" {
+		t.Errorf("clean node: %+v, want ready store node with a clean WAL", h)
+	}
+	if h.Recovery == "" || h.Recovery != recovery.String() {
+		t.Errorf("recovery = %q, want %q", h.Recovery, recovery.String())
+	}
+
+	inj.SetEnabled(true)
+	rec := &profdb.Record{Fingerprint: "aaaa", Runs: 1, IL: 10}
+	resp, err := http.Post(ts.URL+"/ingest", "text/plain", bytes.NewReader(snapshotBytes(t, "p.c", rec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ingest over a failing fsync: status %d, want 503", resp.StatusCode)
+	}
+
+	if h := healthz(http.StatusServiceUnavailable); h.Ready || h.WALClean {
+		t.Errorf("poisoned node: %+v, want not ready", h)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if got, ok := parsePromText(t, body)["ilprofd_ready"]; !ok || got != 0 {
+		t.Errorf("ilprofd_ready = %v (present %v), want 0", got, ok)
 	}
 }

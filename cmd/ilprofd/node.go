@@ -1,4 +1,4 @@
-package fleet
+package main
 
 import (
 	"encoding/json"
@@ -22,17 +22,16 @@ type ingestReq struct {
 	done    chan error
 }
 
-// Node is one storage node of the profile fleet: the HTTP server over a
-// single profdb database that used to live inside cmd/ilprofd. All
+// node is the daemon's HTTP server over a single profdb database. All
 // mutation flows through the writer goroutine (serve loop over
 // ingestCh); readers take the RLock. With a backing store, an ingest is
 // acknowledged only after its write-ahead log frame is durable; without
-// one (pure in-memory mode) the node serves tests and ad-hoc fleets.
+// one (pure in-memory mode) the node serves tests.
 //
 // All operational counters live in the obs registry: /stats reads them
 // through the same handles /metrics exports, so the two endpoints are
 // views of one set of numbers and cannot drift apart.
-type Node struct {
+type node struct {
 	mu         sync.RWMutex
 	db         *profdb.DB
 	store      *profdb.Store // nil in pure in-memory mode
@@ -45,30 +44,29 @@ type Node struct {
 	logw io.Writer // request-log destination (nil = no log lines)
 
 	// Recovery, when set (store-backed nodes), is what Open found; it is
-	// reported on /healthz so an operator — or the fleet router's
-	// membership probe — can see a node that restarted dirty.
+	// reported on /healthz so an operator can see a node that restarted
+	// dirty.
 	recovery *profdb.Recovery
 	started  time.Time
 
-	ingested      *obs.Counter // snapshots committed
-	ingestErrors  *obs.Counter // rejected payloads (parse/program mismatch)
-	runsIngested  *obs.Counter
-	merges        *obs.Counter // /profile responses served
-	staleMerged   *obs.Counter // stale records folded into served merges
-	flushes       *obs.Counter
-	naks          *obs.Counter   // 503 NAKs: retries observed from this side
-	repairAdopted *obs.Counter   // records replaced by anti-entropy pushes
-	batchSize     *obs.Histogram // records per writer commit
-	sinceFlush    int            // writer-goroutine private
+	ingested     *obs.Counter // snapshots committed
+	ingestErrors *obs.Counter // rejected payloads (parse/program mismatch)
+	runsIngested *obs.Counter
+	merges       *obs.Counter // /profile responses served
+	staleMerged  *obs.Counter // stale records folded into served merges
+	flushes      *obs.Counter
+	naks         *obs.Counter   // 503 NAKs: retries observed from this side
+	batchSize    *obs.Histogram // records per writer commit
+	sinceFlush   int            // writer-goroutine private
 }
 
-// NewNode returns an in-memory node over db.
-func NewNode(db *profdb.DB, flushEvery int) *Node {
+// newNode returns an in-memory node over db.
+func newNode(db *profdb.DB, flushEvery int) *node {
 	if flushEvery <= 0 {
 		flushEvery = 16
 	}
 	reg := obs.NewRegistry()
-	return &Node{
+	return &node{
 		db:         db,
 		flushEvery: flushEvery,
 		ingestCh:   make(chan ingestReq, 64),
@@ -88,19 +86,17 @@ func NewNode(db *profdb.DB, flushEvery int) *Node {
 			"Snapshot flushes completed by the daemon (periodic and shutdown)."),
 		naks: reg.Counter("ilprofd_ingest_naks_total",
 			"503 NAKs sent because the WAL was unavailable; clients retry these."),
-		repairAdopted: reg.Counter("ilprofd_repair_adopted_total",
-			"Records replaced by anti-entropy repair pushes that beat the local copy."),
 		batchSize: reg.Histogram("ilprofd_commit_batch_records",
 			"Records per single-writer commit batch.", obs.SizeBuckets),
 	}
 }
 
-// NewStoreNode wraps a crash-safe store: the served database IS the
+// newStoreNode wraps a crash-safe store: the served database IS the
 // store's, every ack is WAL-durable, and the store's durability metrics
 // land on the node's registry. recovery (optional) is surfaced on
 // /healthz.
-func NewStoreNode(store *profdb.Store, flushEvery int, recovery *profdb.Recovery) *Node {
-	n := NewNode(store.DB(), flushEvery)
+func newStoreNode(store *profdb.Store, flushEvery int, recovery *profdb.Recovery) *node {
+	n := newNode(store.DB(), flushEvery)
 	n.store = store
 	n.recovery = recovery
 	store.Obs = n.obs
@@ -110,19 +106,13 @@ func NewStoreNode(store *profdb.Store, flushEvery int, recovery *profdb.Recovery
 	return n
 }
 
-// SetLog directs one JSON request-log line per request to w.
-func (s *Node) SetLog(w io.Writer) { s.logw = w }
-
-// Registry exposes the node's metrics registry.
-func (s *Node) Registry() *obs.Registry { return s.obs }
-
 // DB exposes the served database. Readers must coordinate with the
 // node's writer externally — typically by calling this only before
 // Start or after Stop, as the tests do.
-func (s *Node) DB() *profdb.DB { return s.db }
+func (s *node) DB() *profdb.DB { return s.db }
 
 // Start launches the single writer goroutine.
-func (s *Node) Start() {
+func (s *node) Start() {
 	s.writerWG.Add(1)
 	go func() {
 		defer s.writerWG.Done()
@@ -159,7 +149,7 @@ func (s *Node) Start() {
 // commit applies one batch under the write lock and flushes if due.
 // With a store, the whole batch reaches the write-ahead log with a
 // single fsync before any handler is released — the ack barrier.
-func (s *Node) commit(batch []ingestReq) {
+func (s *node) commit(batch []ingestReq) {
 	s.batchSize.Observe(float64(len(batch)))
 	s.mu.Lock()
 	var errs []error
@@ -196,7 +186,7 @@ func (s *Node) commit(batch []ingestReq) {
 	s.mu.Unlock()
 }
 
-func (s *Node) ingestLocked(program string, rec *profdb.Record) error {
+func (s *node) ingestLocked(program string, rec *profdb.Record) error {
 	if s.db.Program == "" {
 		s.db.Program = program
 	} else if program != "" && program != s.db.Program {
@@ -205,19 +195,9 @@ func (s *Node) ingestLocked(program string, rec *profdb.Record) error {
 	return s.db.Ingest(rec)
 }
 
-// Kill stops the writer WITHOUT the final flush — the in-process
-// equivalent of SIGKILL for crash tests. The backing store (if any) is
-// abandoned as-is: whatever the write-ahead log already made durable
-// survives, anything else is left for the test's filesystem crash to
-// tear away.
-func (s *Node) Kill() {
-	close(s.ingestCh)
-	s.writerWG.Wait()
-}
-
 // Stop closes the ingest path, waits for the writer to drain, and runs
 // the final snapshot flush.
-func (s *Node) Stop() error {
+func (s *node) Stop() error {
 	close(s.ingestCh)
 	s.writerWG.Wait()
 	if s.store == nil {
@@ -234,20 +214,18 @@ func (s *Node) Stop() error {
 
 // Handler returns the node's HTTP API wrapped in the request-log
 // middleware.
-func (s *Node) Handler() http.Handler {
+func (s *node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ingest", s.handleIngest)
 	mux.HandleFunc("/profile", s.handleProfile)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/db", s.handleDB)
-	mux.HandleFunc("/repair", s.handleRepair)
 	return obs.NewRequestLog(s.logw, s.obs,
-		"/ingest", "/profile", "/stats", "/metrics", "/healthz", "/db", "/repair").Wrap(mux)
+		"/ingest", "/profile", "/stats", "/metrics", "/healthz").Wrap(mux)
 }
 
-func (s *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
+func (s *node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
@@ -276,9 +254,7 @@ func (s *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ok: %d run(s) ingested for %s gen %d\n", rec.Runs, rec.Fingerprint, rec.Gen)
 }
 
-// mergeParamsFromQuery parses the shared /profile merge knobs. The
-// router uses the identical parser so a routed read and a direct node
-// read cannot interpret parameters differently.
+// mergeParamsFromQuery parses the /profile merge knobs.
 func mergeParamsFromQuery(r *http.Request) (profdb.MergeParams, error) {
 	params := profdb.DefaultMergeParams()
 	if v := r.URL.Query().Get("halflife"); v != "" {
@@ -298,7 +274,7 @@ func mergeParamsFromQuery(r *http.Request) (profdb.MergeParams, error) {
 	return params, nil
 }
 
-func (s *Node) handleProfile(w http.ResponseWriter, r *http.Request) {
+func (s *node) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
@@ -319,12 +295,6 @@ func (s *Node) handleProfile(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	s.merges.Inc()
 	s.staleMerged.Add(int64(stats.StaleRecords + stats.DroppedRecords))
-	writeMergedSnapshot(w, fp, program, merged, stats)
-}
-
-// writeMergedSnapshot renders a /profile response; shared with the
-// router so the two endpoints are byte-compatible.
-func writeMergedSnapshot(w http.ResponseWriter, fp, program string, merged *profdb.Record, stats *profdb.MergeStats) {
 	if stats.Records == 0 || merged.Runs == 0 {
 		http.Error(w, fmt.Sprintf("no profile data for fingerprint %s", fp), http.StatusNotFound)
 		return
@@ -336,81 +306,10 @@ func writeMergedSnapshot(w http.ResponseWriter, fp, program string, merged *prof
 	profdb.WriteSnapshot(w, program, merged)
 }
 
-// handleDB dumps the node's full database in ILPROFDB form — the raw
-// material of the router's merged reads and of anti-entropy.
-func (s *Node) handleDB(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.db.WriteTo(w)
-}
-
-// handleRepair accepts an anti-entropy push: an ILPROFDB document whose
-// records replace the local copies they beat under the fleet winner
-// order (higher Runs, then higher serialized bytes). Losing or equal
-// pushes are ignored, so repair is idempotent and monotone; with a
-// store the adopted records are made durable by a snapshot flush before
-// the push is acknowledged (replacement cannot ride the WAL, whose
-// replay semantics are additive).
-func (s *Node) handleRepair(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, 64<<20)
-	push, err := profdb.ReadDB(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.db.Program != "" && push.Program != "" && push.Program != s.db.Program {
-		http.Error(w, fmt.Sprintf("repair push is for program %q, store holds %q",
-			push.Program, s.db.Program), http.StatusConflict)
-		return
-	}
-	var adopt []*profdb.Record
-	for _, key := range push.SortedKeys() {
-		rec := push.Records[key]
-		local := s.db.Records[key]
-		if betterRecord(rec, local) {
-			adopt = append(adopt, rec)
-		}
-	}
-	adopted := len(adopt)
-	if adopted > 0 {
-		if s.store != nil {
-			if err := s.store.ReplaceBatch(push.Program, adopt); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		} else {
-			if s.db.Program == "" {
-				s.db.Program = push.Program
-			}
-			for _, rec := range adopt {
-				s.db.Records[profdb.RecordKey{Fingerprint: rec.Fingerprint, Gen: rec.Gen}] = rec
-			}
-		}
-		s.repairAdopted.Add(int64(adopted))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{
-		"pushed":  len(push.Records),
-		"adopted": adopted,
-	})
-}
-
 // handleHealthz is the readiness probe: 200 when the node can durably
 // ack ingests (store open with a clean WAL, recovery complete), 503
-// otherwise. The router's membership probe and the request log both see
-// the same answer.
-func (s *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// otherwise.
+func (s *node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
@@ -464,11 +363,10 @@ type statsJSON struct {
 	MergesServed    int64  `json:"merges_served"`
 	StaleRecsMerged int64  `json:"stale_records_merged"`
 	Flushes         int64  `json:"flushes"`
-	RepairAdopted   int64  `json:"repair_adopted"`
 	UptimeSeconds   int64  `json:"uptime_seconds"`
 }
 
-func (s *Node) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *node) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
@@ -487,7 +385,6 @@ func (s *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 	doc.MergesServed = s.merges.Value()
 	doc.StaleRecsMerged = s.staleMerged.Value()
 	doc.Flushes = s.flushes.Value()
-	doc.RepairAdopted = s.repairAdopted.Value()
 	doc.UptimeSeconds = int64(time.Since(s.started).Seconds())
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -498,7 +395,7 @@ func (s *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the registry in Prometheus text exposition
 // format. Database-shape gauges are refreshed under the read lock at
 // scrape time; everything else is already live in the registry.
-func (s *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return

@@ -108,7 +108,7 @@ func TestE2EDatabaseMatchesInProcessProfiling(t *testing.T) {
 // database ingest, and merged resolution, and the database-driven
 // compile is byte-identical — profile, decision list, and rewritten
 // module — to in-process full-mode profiling. Reconstruction exactness
-// composes with the whole fleet pipeline, not just with Profile.Add.
+// composes with the whole database pipeline, not just with Profile.Add.
 func TestE2EMinimalModeDatabaseMatchesFull(t *testing.T) {
 	b := bench.Get("espresso")
 	if b == nil {

@@ -59,8 +59,8 @@ type RunStats = profile.RunStats
 // compiler run as separate tool invocations, as IMPACT-I's did.
 func ReadProfile(r io.Reader) (*Profile, error) { return profile.ReadProfile(r) }
 
-// ProfDB re-exports the persistent profile database: the fleet-scale
-// replacement for single-shot ILPROF files, keyed by stable call-site
+// ProfDB re-exports the persistent profile database: the multi-run,
+// multi-version replacement for single-shot ILPROF files, keyed by stable call-site
 // fingerprints instead of raw ids (see internal/profdb and
 // docs/profiles.md).
 type ProfDB = profdb.DB

@@ -8,6 +8,14 @@ import (
 	"inlinec/internal/types"
 )
 
+// MaxNesting bounds how deeply the front end recurses: the parser's
+// nested productions (statements, unary operators, casts, parentheses,
+// assignment and conditional chains, initializers, declarators) and the
+// semantic checker's walk over expressions and statements. Source
+// nested deeper gets a positioned "nesting too deep" diagnostic instead
+// of exhausting the Go stack.
+const MaxNesting = 10000
+
 // Node is the interface implemented by every AST node.
 type Node interface {
 	Pos() token.Pos

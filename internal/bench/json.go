@@ -52,42 +52,21 @@ type JSONReport struct {
 	NumCPU      int             `json:"num_cpu"`
 	Results     []JSONResult    `json:"results"`
 	ProfDB      []*ProfDBResult `json:"profdb,omitempty"`
-	// Fleet carries the sharded ingest-tier load measurements
-	// (ilbench -fleet); see BENCH_pr8.json for the single-node vs
-	// replicated-quorum comparison.
-	Fleet []*FleetResult `json:"fleet,omitempty"`
 	// Agreement carries the predicted-vs-measured inlining-decision
 	// comparisons (ilbench -agreement) — the numbers the CI predict-gate
 	// checks against .github/agreement-threshold.txt.
 	Agreement []*AgreementResult `json:"agreement,omitempty"`
 }
 
-// MarshalResults renders benchmark results as indented JSON. parallelism
+// MarshalResults renders benchmark results, plus the optional profdb
+// and agreement sections (nil to omit), as indented JSON. parallelism
 // is the effective Config.Parallelism the results were produced with.
-func MarshalResults(results []*BenchResult, parallelism int) ([]byte, error) {
-	return MarshalResultsProfDB(results, parallelism, nil)
-}
-
-// MarshalResultsProfDB is MarshalResults plus the optional profdb rows.
-func MarshalResultsProfDB(results []*BenchResult, parallelism int, pdb []*ProfDBResult) ([]byte, error) {
-	return MarshalResultsFull(results, parallelism, pdb, nil)
-}
-
-// MarshalResultsFull is MarshalResults plus the optional profdb and
-// fleet sections.
-func MarshalResultsFull(results []*BenchResult, parallelism int, pdb []*ProfDBResult, fl []*FleetResult) ([]byte, error) {
-	return MarshalResultsAgreement(results, parallelism, pdb, fl, nil)
-}
-
-// MarshalResultsAgreement is MarshalResultsFull plus the optional
-// predicted-vs-measured agreement section.
-func MarshalResultsAgreement(results []*BenchResult, parallelism int, pdb []*ProfDBResult, fl []*FleetResult, agr []*AgreementResult) ([]byte, error) {
+func MarshalResults(results []*BenchResult, parallelism int, pdb []*ProfDBResult, agr []*AgreementResult) ([]byte, error) {
 	rep := JSONReport{
 		Parallelism: parallelism,
 		NumCPU:      runtime.NumCPU(),
 		Results:     make([]JSONResult, 0, len(results)),
 		ProfDB:      pdb,
-		Fleet:       fl,
 		Agreement:   agr,
 	}
 	for _, r := range results {

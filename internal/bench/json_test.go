@@ -50,7 +50,7 @@ func TestCheckRegressionFlagsSlowdown(t *testing.T) {
 
 func TestReadReportRoundTrip(t *testing.T) {
 	results := []*BenchResult{{Name: "wc", CLines: 10, Runs: 2, AvgIL: 100, AvgILAfter: 110, Seconds: 0.25}}
-	data, err := MarshalResults(results, 1)
+	data, err := MarshalResults(results, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Package chaos is the fault-injection layer for the profile fleet's
+// Package chaos is the fault-injection layer for the profile store's
 // durability machinery. It provides:
 //
 //   - FS/File: the narrow filesystem surface the write-ahead log and
@@ -11,7 +11,8 @@
 //     with short writes, fsync errors, failed or torn renames, and open
 //     errors, usable from tests and via ilprofd's -chaos-fs flag;
 //   - RoundTripper: the HTTP-side counterpart injecting connection
-//     resets, timeouts, and 5xx responses into any http.Client.
+//     resets, timeouts, and 5xx responses into any http.Client;
+//   - Proc: a subprocess supervisor for kill -9 tests of a real daemon.
 //
 // Everything is seeded: the same seed and operation sequence produces
 // the same faults, so failing chaos schedules replay exactly.

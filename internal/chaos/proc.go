@@ -8,15 +8,13 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 )
 
 // Proc supervises one subprocess under chaos test: it captures stderr,
-// watches for a readiness line, and exposes the kill levers the fleet
+// watches for a readiness line, and exposes the kill levers the crash
 // suites pull — SIGKILL for a crash that skips every cleanup path,
-// SIGTERM for a graceful shutdown. Extracted from the ilprofd SIGKILL
-// test so multi-node suites can run a whole fleet of real processes.
+// SIGTERM for a graceful shutdown.
 type Proc struct {
 	cmd *exec.Cmd
 
@@ -77,18 +75,12 @@ func (p *Proc) Output() string {
 	return p.out.String()
 }
 
-// Pid returns the process id.
-func (p *Proc) Pid() int { return p.cmd.Process.Pid }
-
 // Kill9 delivers SIGKILL: no handlers, no flush, no cleanup — the
 // kernel-level crash the WAL ack barrier must survive.
 func (p *Proc) Kill9() error { return p.cmd.Process.Kill() }
 
 // Signal delivers an arbitrary signal (SIGTERM for graceful shutdown).
 func (p *Proc) Signal(sig os.Signal) error { return p.cmd.Process.Signal(sig) }
-
-// Interrupt is Signal(SIGTERM).
-func (p *Proc) Interrupt() error { return p.Signal(syscall.SIGTERM) }
 
 // Wait reaps the process and returns its exit error, if any.
 func (p *Proc) Wait() error { return p.cmd.Wait() }

@@ -35,11 +35,17 @@ func (el ErrorList) Error() string {
 	}
 }
 
-// Parser holds the parsing state for one translation unit.
+// Parser holds the parsing state for one translation unit. Tokens are
+// pulled from the lexer on demand through a small lookahead ring, so
+// memory does not grow with the input and a parse abandoned early never
+// scans the rest of it.
 type Parser struct {
-	toks []token.Token
-	pos  int
-	errs ErrorList
+	lex   *lexer.Lexer
+	la    [4]token.Token // lookahead ring; la[pos&3] is the current token
+	pos   int            // tokens consumed so far
+	end   int            // tokens scanned so far: pos < end <= pos+3
+	errs  ErrorList
+	depth int // nesting of recursive productions, bounded by ast.MaxNesting
 
 	structs    map[string]*types.StructType
 	lastParams *paramInfo
@@ -56,16 +62,15 @@ type bailout struct{}
 
 // Parse parses a MiniC translation unit.
 func Parse(filename, src string) (*ast.File, error) {
-	toks, lexErrs := lexer.ScanAll(filename, src)
 	p := &Parser{
-		toks:       toks,
+		lex:        lexer.New(filename, src),
 		structs:    make(map[string]*types.StructType),
 		typedefs:   make(map[string]types.Type),
 		enumConsts: make(map[string]*ast.EnumConst),
 		file:       &ast.File{Name: filename},
 	}
-	for _, e := range lexErrs {
-		p.errs = append(p.errs, &Error{Pos: e.Pos, Msg: e.Msg})
+	for i := 0; i < 3; i++ {
+		p.scan()
 	}
 	func() {
 		defer func() {
@@ -77,26 +82,50 @@ func Parse(filename, src string) (*ast.File, error) {
 		}()
 		p.parseFile()
 	}()
-	if len(p.errs) > 0 {
-		return p.file, p.errs
+	// Scan whatever a bailout left unread so every lexical error is
+	// reported; lexical errors lead the list, as the scanner runs ahead.
+	for p.scan() {
+	}
+	var errs ErrorList
+	for _, e := range p.lex.Errors() {
+		errs = append(errs, &Error{Pos: e.Pos, Msg: e.Msg})
+	}
+	if errs = append(errs, p.errs...); len(errs) > 0 {
+		return p.file, errs
 	}
 	return p.file, nil
 }
 
 // ------------------------------------------------------------------ plumbing
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// scan appends the lexer's next token to the lookahead ring, reporting
+// false once EOF has already been scanned.
+func (p *Parser) scan() bool {
+	if p.end > 0 && p.la[(p.end-1)&3].Kind == token.EOF {
+		return false
 	}
-	return p.toks[len(p.toks)-1]
+	p.la[p.end&3] = p.lex.Next()
+	p.end++
+	return true
 }
 
+// ahead returns the token k places past the current one (k <= 2); past
+// the end of input that is the EOF token.
+func (p *Parser) ahead(k int) token.Token {
+	if p.pos+k >= p.end {
+		return p.la[(p.end-1)&3]
+	}
+	return p.la[(p.pos+k)&3]
+}
+
+func (p *Parser) cur() token.Token  { return p.la[p.pos&3] }
+func (p *Parser) peek() token.Token { return p.ahead(1) }
+
 func (p *Parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.la[p.pos&3]
 	if t.Kind != token.EOF {
 		p.pos++
+		p.scan()
 	}
 	return t
 }
@@ -121,10 +150,24 @@ func (p *Parser) expect(k token.Kind) token.Token {
 
 func (p *Parser) errorf(pos token.Pos, format string, args ...any) {
 	p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
-	if len(p.errs) >= maxErrors {
+	if len(p.errs)+len(p.lex.Errors()) >= maxErrors {
 		panic(bailout{})
 	}
 }
+
+// enter descends one nesting level; callers pair it with leave. Past
+// ast.MaxNesting the parse is abandoned with a positioned diagnostic
+// rather than recursing until the Go stack overflows.
+func (p *Parser) enter() {
+	p.depth++
+	if p.depth > ast.MaxNesting {
+		p.errs = append(p.errs, &Error{Pos: p.cur().Pos,
+			Msg: fmt.Sprintf("nesting too deep (limit %d)", ast.MaxNesting)})
+		panic(bailout{})
+	}
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // sync skips tokens until a likely statement/declaration boundary.
 func (p *Parser) sync() {
@@ -161,14 +204,14 @@ func (p *Parser) parseTopDecl() {
 		return
 	case token.KwEnum:
 		// enum definition used as a declaration.
-		if p.peek().Kind == token.LBrace || (p.peek().Kind == token.Ident && p.toks[p.pos+2].Kind == token.LBrace) {
+		if p.peek().Kind == token.LBrace || (p.peek().Kind == token.Ident && p.ahead(2).Kind == token.LBrace) {
 			p.parseTypeSpecifier()
 			p.expect(token.Semi)
 			return
 		}
 	case token.KwStruct:
 		// struct definition without declarator: struct S { ... };
-		if p.peek().Kind == token.Ident && p.toks[p.pos+2].Kind == token.LBrace {
+		if p.peek().Kind == token.Ident && p.ahead(2).Kind == token.LBrace {
 			p.parseTypeSpecifier()
 			if p.accept(token.Semi) {
 				return
@@ -351,6 +394,8 @@ func (p *Parser) parseStructSpecifier() types.Type {
 		p.file.Structs = append(p.file.Structs, st)
 	}
 	if p.accept(token.LBrace) {
+		p.enter()
+		defer p.leave()
 		if st.Complete() {
 			p.errorf(nameTok.Pos, "redefinition of struct %s", nameTok.Text)
 		}
@@ -441,6 +486,8 @@ func (p *Parser) parseConstExpr() (int64, bool) {
 }
 
 func (p *Parser) parseConstUnary() (int64, bool) {
+	p.enter()
+	defer p.leave()
 	switch p.cur().Kind {
 	case token.Minus:
 		p.next()
@@ -467,7 +514,13 @@ func (p *Parser) parseConstUnary() (int64, bool) {
 // type, and the name position. Handles pointers, arrays, function
 // parameter lists, and parenthesized (function-pointer) declarators.
 func (p *Parser) parseDeclarator(base types.Type) (string, types.Type, token.Pos) {
+	// Every star nests the type one level deeper, like a nested
+	// declarator does.
+	depth := p.depth
+	defer func() { p.depth = depth }()
+	p.enter()
 	for p.accept(token.Star) {
+		p.enter()
 		p.accept(token.KwConst)
 		base = types.PointerTo(base)
 	}
@@ -550,6 +603,8 @@ func (p *Parser) isNestedDeclarator() bool {
 }
 
 func (p *Parser) parseDeclSuffixes(base types.Type) types.Type {
+	p.enter()
+	defer p.leave()
 	switch p.cur().Kind {
 	case token.LBracket:
 		p.next()
@@ -606,6 +661,8 @@ func (p *Parser) parseDeclSuffixes(base types.Type) types.Type {
 // brace-enclosed list.
 func (p *Parser) parseInitializer() ast.Expr {
 	if p.at(token.LBrace) {
+		p.enter()
+		defer p.leave()
 		lb := p.next().Pos
 		lst := &ast.InitListExpr{Lbrace: lb}
 		for !p.at(token.RBrace) && !p.at(token.EOF) {
@@ -655,6 +712,8 @@ func (p *Parser) startsType() bool {
 }
 
 func (p *Parser) parseStmt() ast.Stmt {
+	p.enter()
+	defer p.leave()
 	switch p.cur().Kind {
 	case token.LBrace:
 		return p.parseBlock()
@@ -843,13 +902,20 @@ func (p *Parser) parseSwitch() ast.Stmt {
 
 // --------------------------------------------------------------- expressions
 
+// The operator loops below (comma, binary, postfix) build left-leaning
+// trees: every iteration nests the tree built so far one level deeper,
+// so each counts as a nesting level until the loop returns.
+
 func (p *Parser) parseExpr() ast.Expr {
+	depth := p.depth
 	x := p.parseAssignExpr()
 	for p.at(token.Comma) {
 		p.next()
+		p.enter()
 		y := p.parseAssignExpr()
 		x = &ast.CommaExpr{X: x, Y: y}
 	}
+	p.depth = depth
 	return x
 }
 
@@ -857,7 +923,9 @@ func (p *Parser) parseAssignExpr() ast.Expr {
 	x := p.parseCondExpr()
 	if p.cur().Kind.IsAssignOp() {
 		op := p.next()
+		p.enter()
 		y := p.parseAssignExpr()
+		p.leave()
 		return &ast.AssignExpr{OpPos: op.Pos, Op: op.Kind, X: x, Y: y}
 	}
 	return x
@@ -866,6 +934,8 @@ func (p *Parser) parseAssignExpr() ast.Expr {
 func (p *Parser) parseCondExpr() ast.Expr {
 	cond := p.parseBinaryExpr(1)
 	if p.accept(token.Question) {
+		p.enter()
+		defer p.leave()
 		then := p.parseExpr()
 		p.expect(token.Colon)
 		els := p.parseCondExpr()
@@ -902,19 +972,26 @@ func binaryPrec(k token.Kind) int {
 }
 
 func (p *Parser) parseBinaryExpr(minPrec int) ast.Expr {
+	depth := p.depth
 	x := p.parseUnaryExpr()
 	for {
 		prec := binaryPrec(p.cur().Kind)
 		if prec < minPrec || prec == 0 {
+			p.depth = depth
 			return x
 		}
 		op := p.next()
+		p.enter()
 		y := p.parseBinaryExpr(prec + 1)
 		x = &ast.BinaryExpr{OpPos: op.Pos, Op: op.Kind, X: x, Y: y}
 	}
 }
 
+// parseUnaryExpr counts one nesting level, which also covers the
+// parenthesized, call-argument and index expressions parsed beneath it.
 func (p *Parser) parseUnaryExpr() ast.Expr {
+	p.enter()
+	defer p.leave()
 	switch p.cur().Kind {
 	case token.Plus:
 		p.next()
@@ -977,8 +1054,9 @@ func (p *Parser) parseTypeName() types.Type {
 }
 
 func (p *Parser) parsePostfixExpr() ast.Expr {
+	depth := p.depth
 	x := p.parsePrimaryExpr()
-	for {
+	for ; ; p.enter() {
 		switch p.cur().Kind {
 		case token.LParen:
 			lp := p.next()
@@ -1008,6 +1086,7 @@ func (p *Parser) parsePostfixExpr() ast.Expr {
 			op := p.next()
 			x = &ast.PostfixExpr{OpPos: op.Pos, Op: op.Kind, X: x}
 		default:
+			p.depth = depth
 			return x
 		}
 	}

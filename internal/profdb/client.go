@@ -2,7 +2,6 @@ package profdb
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,23 +16,21 @@ import (
 	"inlinec/internal/obs"
 )
 
-// Client is the fleet-side HTTP client for ilprofd, shared by ilcc,
-// ilprof, and the benchmark harness. It layers resilience over the
-// daemon's plain API:
+// Client is the HTTP client for the ilprofd daemon, shared by ilcc and
+// ilprof. It layers resilience over the daemon's plain API:
 //
 //   - every request carries a timeout (no compile ever hangs on a dead
 //     daemon);
 //   - idempotent requests (GET /profile) retry transport errors and 5xx
 //     responses with bounded exponential backoff plus jitter;
 //   - POST /ingest is not idempotent, so it retries only when the
-//     snapshot provably never reached the server — a dial failure — or
-//     when the server itself answered a 5xx other than 502 (an explicit
-//     NAK: the daemon acks only after its write-ahead log is durable,
-//     so a 503 means nothing was committed). 502 is the fleet router's
-//     "partially committed or ambiguous" verdict — some replica may
-//     already hold the record — so it is surfaced, never retried, like
-//     an ambiguous mid-request transport error, keeping delivery
-//     at-most-once.
+//     snapshot provably never reached the daemon — a dial failure — or
+//     when a server answered a 5xx other than 502 (an explicit NAK: the
+//     daemon acks only after its write-ahead log is durable, so a 503
+//     means nothing was committed). A 502 comes from a gateway between
+//     client and daemon, which cannot say whether the daemon committed
+//     the snapshot, so it is surfaced, never retried, like an ambiguous
+//     mid-request transport error, keeping delivery at-most-once.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:7411".
 	BaseURL string
@@ -50,7 +47,7 @@ type Client struct {
 	// see flakiness that resilience would otherwise hide.
 	Warn io.Writer
 	// Obs, when non-nil, counts the same retries into
-	// profdb_client_retries_total so fleet flakiness shows up on
+	// profdb_client_retries_total so daemon flakiness shows up on
 	// /metrics as well as in the warning stream.
 	Obs *obs.Registry
 
@@ -86,15 +83,6 @@ func (e *HTTPError) Error() string {
 	return fmt.Sprintf("%s: %s: %s", e.URL, e.Status, e.Body)
 }
 
-// SeedBackoff replaces the jitter source with a deterministic one, so
-// chaos tests replaying a seeded fault schedule see the same retry
-// timings every run. Call before the first request.
-func (c *Client) SeedBackoff(seed int64) {
-	c.rngMu.Lock()
-	c.rng = rand.New(rand.NewSource(seed))
-	c.rngMu.Unlock()
-}
-
 // provablyUnsent reports whether the request never left this machine:
 // only then is an automatic POST retry safe without idempotence.
 func provablyUnsent(err error) bool {
@@ -102,23 +90,8 @@ func provablyUnsent(err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
-// NotCommitted reports whether a delivery error proves the server
-// committed nothing: the request never left this machine (dial
-// failure), or the server answered 503 — the explicit
-// nothing-was-made-durable NAK of both the single node and the fleet
-// router. Only such failures are safe to retry without idempotence;
-// everything else (ambiguous transport errors, the router's 502
-// partial-commit verdict) may have landed.
-func NotCommitted(err error) bool {
-	if provablyUnsent(err) {
-		return true
-	}
-	var he *HTTPError
-	return errors.As(err, &he) && he.StatusCode == http.StatusServiceUnavailable
-}
-
 // postRetriable is the POST /ingest retry policy: dial failures and
-// every 5xx except 502 (see Client and NotCommitted).
+// every 5xx except 502 (see Client).
 func postRetriable(err error) bool {
 	if provablyUnsent(err) {
 		return true
@@ -229,9 +202,9 @@ func (c *Client) FetchProfile(fingerprint string, query url.Values) (program str
 // PostSnapshot delivers one snapshot to /ingest and returns the
 // daemon's ack line. Retried only on dial failures and 5xx NAKs other
 // than 502; an ambiguous transport error after the body may have been
-// sent — or the router's 502 partial-commit verdict — is returned
-// as-is so the caller decides (the payload might already be committed,
-// and profile ingestion is not idempotent).
+// sent — or a gateway's 502 — is returned as-is so the caller decides
+// (the payload might already be committed, and profile ingestion is
+// not idempotent).
 func (c *Client) PostSnapshot(program string, rec *Record) (string, error) {
 	var buf bytes.Buffer
 	if _, err := WriteSnapshot(&buf, program, rec); err != nil {
@@ -257,87 +230,4 @@ func (c *Client) PostSnapshot(program string, rec *Record) (string, error) {
 			Status: resp.Status, Body: strings.TrimSpace(string(body))}
 	}
 	return string(body), nil
-}
-
-// FetchDB GETs a node's full database dump (/db). Idempotent: retried
-// on any transport error and on 5xx. The fleet router's read fan-in
-// and anti-entropy sweep are built on this.
-func (c *Client) FetchDB() (*DB, error) {
-	u := c.BaseURL + "/db"
-	resp, err := c.doRetry("GET /db", func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, u, nil)
-	}, func(error) bool { return true })
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, &HTTPError{URL: u, StatusCode: resp.StatusCode,
-			Status: resp.Status, Body: strings.TrimSpace(string(body))}
-	}
-	db, err := ReadDB(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", u, err)
-	}
-	return db, nil
-}
-
-// PostRepair pushes an anti-entropy document to a node's /repair
-// endpoint and returns how many records the node adopted. Repair is
-// adopt-if-better, hence idempotent and monotone: retried on any
-// transport error and on 5xx.
-func (c *Client) PostRepair(push *DB) (adopted int, err error) {
-	var buf bytes.Buffer
-	if _, err := push.WriteTo(&buf); err != nil {
-		return 0, err
-	}
-	payload := buf.Bytes()
-	u := c.BaseURL + "/repair"
-	resp, err := c.doRetry("POST /repair", func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "text/plain")
-		return req, nil
-	}, func(error) bool { return true })
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return 0, &HTTPError{URL: u, StatusCode: resp.StatusCode,
-			Status: resp.Status, Body: strings.TrimSpace(string(body))}
-	}
-	var doc struct {
-		Adopted int `json:"adopted"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return 0, fmt.Errorf("%s: %w", u, err)
-	}
-	return doc.Adopted, nil
-}
-
-// Ready probes /healthz once (no retries — a probe's answer should be
-// about now, not about eventually) and returns nil when the node
-// reports it can durably ack ingests.
-func (c *Client) Ready() error {
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return &HTTPError{URL: req.URL.String(), StatusCode: resp.StatusCode,
-			Status: resp.Status, Body: strings.TrimSpace(string(body))}
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
 }

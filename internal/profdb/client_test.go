@@ -118,6 +118,53 @@ func TestClientPostNoRetryAfterAmbiguousFailure(t *testing.T) {
 	}
 }
 
+// TestClientPostNoRetry502: a gateway answers 502 when it cannot tell
+// whether the daemon committed the write; retrying could double-count,
+// so the client must surface it after ONE attempt.
+func TestClientPostNoRetry502(t *testing.T) {
+	attempts := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts++
+		http.Error(w, "upstream reset after the body was sent (do NOT retry)", http.StatusBadGateway)
+	}))
+	defer srv.Close()
+	c := testClient(srv.URL)
+	rec := NewRecord("cafe", 0)
+	rec.Runs = 1
+	_, err := c.PostSnapshot("p.c", rec)
+	if err == nil {
+		t.Fatal("502 reported as success")
+	}
+	if attempts != 1 {
+		t.Fatalf("client sent %d attempts after 502, want exactly 1", attempts)
+	}
+	var he *HTTPError
+	if !errors.As(err, &he) || he.StatusCode != http.StatusBadGateway {
+		t.Errorf("unexpected error shape: %v", err)
+	}
+}
+
+// TestClientPostStillRetries503: 503 remains the explicit
+// nothing-committed NAK and is retried as before.
+func TestClientPostStillRetries503(t *testing.T) {
+	fails := 2
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if fails > 0 {
+			fails--
+			http.Error(w, "wal unavailable: nothing committed (safe to retry)", http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+	c := testClient(srv.URL)
+	rec := NewRecord("cafe", 0)
+	rec.Runs = 1
+	if _, err := c.PostSnapshot("p.c", rec); err != nil {
+		t.Fatalf("503s within the attempt budget should be ridden out: %v", err)
+	}
+}
+
 // TestClientPostRetriesDialFailure: a dial error means the snapshot
 // never left the machine — retrying is safe, and the attempts are
 // bounded.

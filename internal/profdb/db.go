@@ -229,11 +229,6 @@ func (db *DB) TotalRuns() int {
 	return n
 }
 
-// SortedKeys returns record keys in deterministic (fingerprint, gen)
-// order — the iteration order every deterministic consumer (merge,
-// serialization, the fleet's winner combine) shares.
-func (db *DB) SortedKeys() []RecordKey { return db.sortedKeys() }
-
 // sortedKeys returns record keys in deterministic (fingerprint, gen) order.
 func (db *DB) sortedKeys() []RecordKey {
 	keys := make([]RecordKey, 0, len(db.Records))

@@ -495,27 +495,6 @@ func (s *Store) WALClean() bool {
 	return s.wal != nil && !s.walDirty
 }
 
-// ReplaceBatch overwrites whole records — the anti-entropy adoption
-// path, where a repair push carries a replica copy that beats the
-// local one. Replacement cannot ride the WAL (its replay semantics are
-// additive: a replayed frame re-ingests, it does not overwrite), so
-// durability comes from a full snapshot flush before the nil return.
-// Single-writer like every other mutation.
-func (s *Store) ReplaceBatch(program string, recs []*Record) error {
-	if s.db.Program == "" && program != "" {
-		s.db.Program = program
-	}
-	for _, rec := range recs {
-		s.db.Records[RecordKey{Fingerprint: rec.Fingerprint, Gen: rec.Gen}] = rec
-	}
-	if err := s.Flush(); err != nil {
-		// The adoption is in memory but not yet durable; Flush poisoned
-		// the log, so nothing further is acked until a flush succeeds.
-		return fmt.Errorf("%w: repair flush: %v", ErrWAL, err)
-	}
-	return nil
-}
-
 // Close flushes a final snapshot and releases the log handle.
 func (s *Store) Close() error {
 	err := s.Flush()

@@ -9,7 +9,7 @@ import (
 )
 
 // Write-ahead log format (ILWAL 1). The WAL is the ack barrier of the
-// fleet ingestion daemon: a snapshot is acknowledged only after its WAL
+// ingestion daemon: a snapshot is acknowledged only after its WAL
 // frame is durable, so kill -9 at any instant loses no acked record.
 //
 //	ILWAL 1 <epoch>

@@ -79,7 +79,25 @@ type checker struct {
 	gotos   []*ast.GotoStmt
 	loops   int // nesting depth of loops (for break/continue)
 	switchs int // nesting depth of switches (for break)
+	depth   int // nesting of the expression/statement walk, bounded by ast.MaxNesting
 }
+
+// bailout abandons the check once the nesting bound is exceeded.
+type bailout struct{}
+
+// enter descends one nesting level at n; callers pair it with leave.
+// Past ast.MaxNesting the check is abandoned with a diagnostic rather
+// than recursing until the Go stack overflows. The parser already bounds
+// the trees it builds; this bound covers any tree handed to Check.
+func (c *checker) enter(n ast.Node) {
+	c.depth++
+	if c.depth > ast.MaxNesting {
+		c.errorf(n.Pos(), "nesting too deep (limit %d)", ast.MaxNesting)
+		panic(bailout{})
+	}
+}
+
+func (c *checker) leave() { c.depth-- }
 
 // scope is a lexical scope mapping names to declarations
 // (*ast.VarDecl or *ast.FuncDecl).
@@ -110,12 +128,21 @@ func Check(file *ast.File) (*Program, error) {
 		},
 		scope: newScope(nil),
 	}
-	c.collectGlobals()
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			c.checkFunc(fd)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(bailout); !ok {
+					panic(r)
+				}
+			}
+		}()
+		c.collectGlobals()
+		for _, d := range file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				c.checkFunc(fd)
+			}
 		}
-	}
+	}()
 	c.prog.Main = c.prog.Func("main")
 	if len(c.errs) > 0 {
 		return c.prog, c.errs
@@ -349,6 +376,8 @@ func (c *checker) checkLocalInit(vd *ast.VarDecl) {
 // ---------------------------------------------------------------- statements
 
 func (c *checker) checkStmt(s ast.Stmt) {
+	c.enter(s)
+	defer c.leave()
 	switch ss := s.(type) {
 	case *ast.BlockStmt:
 		c.checkBlock(ss, ss.DeclGroup)
@@ -494,6 +523,8 @@ func (c *checker) resolveIdent(id *ast.Ident) any {
 // checkExpr type-checks e and returns its type (nil after an error that
 // leaves the type unknown; errors still set a fallback type on the node).
 func (c *checker) checkExpr(e ast.Expr) types.Type {
+	c.enter(e)
+	defer c.leave()
 	switch ee := e.(type) {
 	case *ast.IntLit:
 		ee.SetType(types.IntType)

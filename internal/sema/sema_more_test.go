@@ -1,6 +1,52 @@
 package sema
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"inlinec/internal/ast"
+	"inlinec/internal/token"
+)
+
+// TestCheckDeepTreeDiagnosed: the parser never builds a tree deeper
+// than ast.MaxNesting, so sema's own bound is exercised on trees built
+// directly — a left-leaning + chain and a tower of blocks, each twice
+// the bound. Both must yield the diagnostic, not a stack overflow.
+func TestCheckDeepTreeDiagnosed(t *testing.T) {
+	const n = 2 * ast.MaxNesting
+	build := func(wrap func(body *ast.BlockStmt, ret *ast.ReturnStmt)) error {
+		t.Helper()
+		f, err := check(t, "int main() { return 1; }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := f.File.Decls[0].(*ast.FuncDecl).Body
+		wrap(body, body.List[0].(*ast.ReturnStmt))
+		_, err = Check(f.File)
+		return err
+	}
+	errs := map[string]error{
+		"plus-chain": build(func(_ *ast.BlockStmt, ret *ast.ReturnStmt) {
+			var x ast.Expr = &ast.IntLit{Value: 1}
+			for i := 0; i < n; i++ {
+				x = &ast.BinaryExpr{Op: token.Plus, X: x, Y: &ast.IntLit{Value: 1}}
+			}
+			ret.X = x
+		}),
+		"blocks": build(func(body *ast.BlockStmt, ret *ast.ReturnStmt) {
+			var s ast.Stmt = ret
+			for i := 0; i < n; i++ {
+				s = &ast.BlockStmt{List: []ast.Stmt{s}}
+			}
+			body.List = []ast.Stmt{s}
+		}),
+	}
+	for name, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "nesting too deep") {
+			t.Errorf("%s: want a nesting diagnostic, got %v", name, err)
+		}
+	}
+}
 
 func TestCheckGlobalInitFunctionAddress(t *testing.T) {
 	p := mustCheck(t, `
