@@ -13,11 +13,18 @@ import (
 // register indices (constants get pool registers preloaded at function
 // entry, so the dispatch loop never inspects an operand kind), branch
 // targets become bytecode PCs, call sites become direct *bcFunc/extern
-// pointers, and global/function addresses become immediates. Hot
-// adjacent pairs additionally fuse into superinstructions (compare+
-// branch, address+load/store); the profiling counters inside the fused
-// forms checkpoint at the same semantic points as the unfused pair, so
-// RunStats stay bit-identical to the switch engine.
+// pointers, and global/function addresses become immediates.
+//
+// One bytecode instruction stands for a run of consecutive IL
+// instructions, its components: n of them, starting at origPC. Every
+// component but the last is pure and cannot fault — a temporary nothing
+// reads, an address every use of which became a direct frame or global
+// access, the compare feeding a branch — so the engine skips its work
+// and only charges its IL. The last component does the instruction's
+// work and is the only one that can fault, branch or call. The dispatch
+// loop therefore adds n to the IL count and tests the budget once per
+// bytecode instruction, and RunStats stay bit-identical to the switch
+// engine.
 
 // bcOp is a compact bytecode opcode. The values are contiguous so the
 // dispatch switch compiles to a dense jump table.
@@ -26,10 +33,10 @@ type bcOp uint8
 const (
 	// bcEnd is the sentinel appended after the last instruction: reaching
 	// it reproduces the switch engine's "fell off the end" fault.
-	bcEnd bcOp = iota
-	bcNop
-	bcConst // regs[dst] = imm (also resolved addrg/addrf/mov-const)
-	bcMov   // regs[dst] = regs[a]
+	bcEnd   bcOp = iota
+	bcNop        // charges IL only: pure components ending just before a label
+	bcConst      // regs[dst] = imm (also resolved addrg/addrf/mov-const)
+	bcMov        // regs[dst] = regs[a]
 	bcNeg
 	bcNot
 	bcAdd // regs[dst] = regs[a] OP regs[b] for the binary group
@@ -62,23 +69,26 @@ const (
 	bcCall    // invoke calls[aux]
 	bcCallPtr // invoke *regs[a] with calls[aux] metadata
 
-	// Superinstructions: fused forms of hot adjacent pairs. Each still
-	// performs every architectural write of its components (the compare
-	// result, the materialized address), so no liveness analysis is
-	// needed for correctness.
-	bcEqBr // regs[dst] = cmp(regs[a], regs[b]); if taken { pc = aux }
+	// Compare-branches: the last component is a conditional branch on a
+	// compare (possibly through eq/ne #0 tests, folded into the opcode)
+	// whose result nothing else reads, so it is never written.
+	bcEqBr // if regs[a] == regs[b] { pc = aux }
 	bcNeBr
 	bcLtBr
 	bcLeBr
 	bcGtBr
 	bcGeBr
-	bcLoadL1  // regs[a] = frame base + imm; regs[dst] = stack1[imm]
-	bcLoadL8  // regs[a] = frame base + imm; regs[dst] = stack8[imm]
-	bcStoreL1 // regs[a] = frame base + imm; stack1[imm] = regs[b]
+
+	// Direct accesses: a 1- or 8-byte load or store through an address
+	// every use of which is a known in-bounds frame (L) or global (G)
+	// offset. The address component is charged, never materialized.
+	bcLoadL1  // regs[dst] = stack1[frame + imm]
+	bcLoadL8  // regs[dst] = stack8[frame + imm]
+	bcStoreL1 // stack1[frame + imm] = regs[b]
 	bcStoreL8
-	bcLoadG1  // regs[a] = imm (absolute); regs[dst] = globals1[aux]
-	bcLoadG8  // regs[a] = imm (absolute); regs[dst] = globals8[aux]
-	bcStoreG1 // regs[a] = imm (absolute); globals1[aux] = regs[b]
+	bcLoadG1 // regs[dst] = globals1[imm]
+	bcLoadG8 // regs[dst] = globals8[imm]
+	bcStoreG1
 	bcStoreG8
 
 	// Cold placeholders for instructions that can only fault: they keep
@@ -119,14 +129,16 @@ func (op bcOp) String() string {
 // noReg is ir.NoReg in the bytecode's int32 register encoding.
 const noReg int32 = -1
 
-// bcInstr is one fixed-width pre-decoded instruction (32 bytes).
+// bcInstr is one fixed-width pre-decoded instruction (32 bytes: n sits
+// in what would otherwise be padding before imm).
 type bcInstr struct {
 	op  bcOp
 	dst int32 // destination register
-	a   int32 // first source register (or fused address register)
+	a   int32 // first source register
 	b   int32 // second source register
 	aux int32 // branch target pc / call index / sym index / access width
-	imm int64 // constant / resolved address / frame offset
+	n   int32 // IL components charged (0 for bcEnd)
+	imm int64 // constant / resolved address / frame or globals offset
 }
 
 // bcCallInfo is the pre-resolved metadata of one static call site.
@@ -166,9 +178,9 @@ type bcFunc struct {
 	numRegs int     // fn.NumRegs + len(consts)
 	consts  []int64 // constant pool, preloaded into regs[fn.NumRegs:]
 	code    []bcInstr
-	// origPC maps a bytecode pc back to the index of its (first) source
-	// instruction in fn.Code, for trace callbacks and fault positions. A
-	// fused instruction's second component is always at origPC+1.
+	// origPC maps a bytecode pc to the index in fn.Code of its first
+	// component; the instruction covers fn.Code[origPC : origPC+n], and a
+	// fault is positioned at the last of those.
 	origPC []int32
 	calls  []bcCallInfo
 	syms   []string // interned symbols for cold fault messages
@@ -192,8 +204,8 @@ func (bf *bcFunc) disasm() string {
 	fmt.Fprintf(&sb, "%s: %d bc instrs, %d regs (%d pooled consts)\n",
 		bf.fn.Name, len(bf.code), bf.numRegs, len(bf.consts))
 	for pc, in := range bf.code {
-		fmt.Fprintf(&sb, "  %3d: %-8s dst=%d a=%d b=%d aux=%d imm=%d\n",
-			pc, in.op, in.dst, in.a, in.b, in.aux, in.imm)
+		fmt.Fprintf(&sb, "  %3d: %-8s dst=%d a=%d b=%d aux=%d imm=%d  il[%d+%d]\n",
+			pc, in.op, in.dst, in.a, in.b, in.aux, in.imm, bf.origPC[pc], in.n)
 	}
 	return sb.String()
 }

@@ -10,11 +10,11 @@ import (
 // execBC runs entry(args) to completion over the translated bytecode.
 // It is the bytecode twin of exec: one dense switch over pre-decoded
 // instructions, with pc, the register file, and the code array held in
-// locals so the hot path never chases a frame pointer. Every counter
-// (IL, control, calls, returns, extern, ptr, site, func) increments at
-// exactly the same semantic points as the switch engine — including the
-// per-component budget checkpoints inside fused superinstructions — so
-// RunStats are bit-identical between engines.
+// locals so the hot path never chases a frame pointer. Each instruction
+// charges its n IL components with one add and one budget test; every
+// other counter (control, calls, returns, extern, ptr, site, func)
+// increments at exactly the same semantic points as the switch engine,
+// so RunStats are bit-identical between engines.
 func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int64, error) {
 	var sp int64 // stack-segment high-water offset
 	depth := 0
@@ -27,7 +27,6 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 	depth++
 
 	maxIL := m.opts.MaxIL
-	trace := m.opts.Trace
 	mem := m.mem
 
 	// Segment views and fast-path bounds, hoisted out of the loop. The
@@ -61,37 +60,28 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 		st.PtrCalls += ptrs
 	}()
 
-	// fault builds a RuntimeError at the current instruction's source
-	// position (cold path only).
+	// fault builds a RuntimeError at the source position of the
+	// instruction's last component, the only one that can fault (cold
+	// path only).
 	fault := func(pc int32, msg string) error {
-		return &RuntimeError{Func: bf.fn.Name, Pos: bf.fn.Code[bf.origPC[pc]].Pos, Msg: msg}
-	}
-	// fault2 is fault for the second component of a fused pair.
-	fault2 := func(pc int32, msg string) error {
-		return &RuntimeError{Func: bf.fn.Name, Pos: bf.fn.Code[bf.origPC[pc]+1].Pos, Msg: msg}
-	}
-	budgetMsg := func() string {
-		return fmt.Sprintf("instruction budget exceeded (%d)", maxIL)
+		return &RuntimeError{Func: bf.fn.Name, Pos: bf.fn.Code[bf.origPC[pc]+code[pc].n-1].Pos, Msg: msg}
 	}
 
-	var retVal int64
-	for depth > 0 {
+	for {
 		in := &code[pc]
-		il++
+		il += int64(in.n)
 		if il > maxIL {
-			if in.op == bcEnd {
-				il--
-				return 0, &RuntimeError{Func: bf.fn.Name, Msg: "fell off the end of the function"}
-			}
-			return 0, fault(pc, budgetMsg())
-		}
-		if trace != nil && in.op != bcEnd {
-			trace(bf.fn, int(bf.origPC[pc]))
+			// The switch engine stops at the first component over budget
+			// (the first one of the run when MaxIL is negative).
+			il -= int64(in.n)
+			k := max(maxIL-il, 0)
+			il += k + 1
+			return 0, &RuntimeError{Func: bf.fn.Name, Pos: bf.fn.Code[bf.origPC[pc]+int32(k)].Pos,
+				Msg: fmt.Sprintf("instruction budget exceeded (%d)", maxIL)}
 		}
 
 		switch in.op {
 		case bcEnd:
-			il--
 			return 0, &RuntimeError{Func: bf.fn.Name, Msg: "fell off the end of the function"}
 		case bcNop:
 			pc++
@@ -249,102 +239,72 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				pc++
 			}
 
-		// --- superinstructions -------------------------------------------
-		// Each fused form counts its components as separate IL
-		// instructions with their own budget checkpoints, matching the
-		// unfused execution order exactly: fault positions and
-		// partially-updated register state line up with the switch engine.
-		case bcEqBr, bcNeBr, bcLtBr, bcLeBr, bcGtBr, bcGeBr:
-			var v int64
-			a, b := regs[in.a], regs[in.b]
-			switch in.op {
-			case bcEqBr:
-				v = b2i(a == b)
-			case bcNeBr:
-				v = b2i(a != b)
-			case bcLtBr:
-				v = b2i(a < b)
-			case bcLeBr:
-				v = b2i(a <= b)
-			case bcGtBr:
-				v = b2i(a > b)
-			default:
-				v = b2i(a >= b)
-			}
-			regs[in.dst] = v
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
+		// --- compare-branches and direct accesses ------------------------
+		case bcEqBr:
 			ctl++
-			if v != 0 {
+			if regs[in.a] == regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcNeBr:
+			ctl++
+			if regs[in.a] != regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcLtBr:
+			ctl++
+			if regs[in.a] < regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcLeBr:
+			ctl++
+			if regs[in.a] <= regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcGtBr:
+			ctl++
+			if regs[in.a] > regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcGeBr:
+			ctl++
+			if regs[in.a] >= regs[in.b] {
 				pc = in.aux
 			} else {
 				pc++
 			}
 		case bcLoadL1:
-			regs[in.a] = base + in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			regs[in.dst] = int64(stackB[frel+in.imm])
 			pc++
 		case bcLoadL8:
-			regs[in.a] = base + in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			regs[in.dst] = int64(binary.LittleEndian.Uint64(stackB[frel+in.imm:]))
 			pc++
 		case bcStoreL1:
-			regs[in.a] = base + in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			stackB[frel+in.imm] = byte(regs[in.b])
 			pc++
 		case bcStoreL8:
-			regs[in.a] = base + in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			binary.LittleEndian.PutUint64(stackB[frel+in.imm:], uint64(regs[in.b]))
 			pc++
 		case bcLoadG1:
-			regs[in.a] = in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
-			regs[in.dst] = int64(globB[in.aux])
+			regs[in.dst] = int64(globB[in.imm])
 			pc++
 		case bcLoadG8:
-			regs[in.a] = in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
-			regs[in.dst] = int64(binary.LittleEndian.Uint64(globB[in.aux:]))
+			regs[in.dst] = int64(binary.LittleEndian.Uint64(globB[in.imm:]))
 			pc++
 		case bcStoreG1:
-			regs[in.a] = in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
-			globB[in.aux] = byte(regs[in.b])
+			globB[in.imm] = byte(regs[in.b])
 			pc++
 		case bcStoreG8:
-			regs[in.a] = in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
-			binary.LittleEndian.PutUint64(globB[in.aux:], uint64(regs[in.b]))
+			binary.LittleEndian.PutUint64(globB[in.imm:], uint64(regs[in.b]))
 			pc++
 
 		// --- calls and returns -------------------------------------------
@@ -470,26 +430,25 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			return 0, fault(pc, fmt.Sprintf("call through invalid function pointer %#x", target))
 		case bcRet, bcRetVoid:
 			rets++
+			var retVal int64
 			if in.op == bcRet {
 				retVal = regs[in.a]
-			} else {
-				retVal = 0
 			}
 			depth--
-			sp = 0
-			if depth > 0 {
-				retDst := f.retDst
-				f = &m.bframes[depth-1]
-				bf = f.bf
-				code = bf.code
-				regs = f.regs
-				base = f.base
-				frel = base - StackBase
-				pc = f.pc
-				sp = frel + int64(bf.fn.FrameSize)
-				if retDst != noReg {
-					regs[retDst] = retVal
-				}
+			if depth == 0 {
+				return retVal, nil
+			}
+			retDst := f.retDst
+			f = &m.bframes[depth-1]
+			bf = f.bf
+			code = bf.code
+			regs = f.regs
+			base = f.base
+			frel = base - StackBase
+			pc = f.pc
+			sp = frel + int64(bf.fn.FrameSize)
+			if retDst != noReg {
+				regs[retDst] = retVal
 			}
 
 		// --- cold faults --------------------------------------------------
@@ -501,7 +460,6 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			return 0, fault(pc, "unhandled opcode "+bf.syms[in.aux])
 		}
 	}
-	return retVal, nil
 }
 
 // pushBC activates bf at depth, mirroring push for the bytecode engine:

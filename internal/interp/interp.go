@@ -44,7 +44,9 @@ type Options struct {
 	MaxIL int64
 	// Trace, when non-nil, is invoked for every executed real instruction
 	// with the containing function and instruction index. Used by the
-	// instruction-cache simulator.
+	// instruction-cache simulator. A traced machine runs on the switch
+	// engine, whatever Engine asks for: the bytecode engine charges
+	// several instructions at once and never visits some of them.
 	Trace func(f *ir.Func, pc int)
 	// Obs, when non-nil, receives aggregate execution counters when a
 	// run completes. Recording happens once per run (a handful of atomic
@@ -285,10 +287,12 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 
 	switch opts.Engine {
 	case "", EngineBytecode:
+		if opts.Trace != nil {
+			m.engine = EngineSwitch
+			break
+		}
 		m.engine = EngineBytecode
-		// Superinstruction fusion merges instruction pairs, so the trace
-		// hook (which must see every instruction individually) disables it.
-		m.translate(cfs, opts.Trace == nil)
+		m.translate(cfs)
 	case EngineSwitch:
 		m.engine = EngineSwitch
 	default:

@@ -18,16 +18,19 @@ import (
 // ends the run from 40 frames deep in the way its stdin selects: 'x'
 // calls exit(3), 'f' faults on a NULL load, anything else loops until
 // the instruction budget trips. Its first statement checks that the
-// globals came back to their initial values.
+// globals came back to their initial values. Just before it ends the
+// run it calls loanprobe, which records the lent pair (see below).
 const dirtierSrc = `
 extern int malloc(int n);
 extern char *memset(char *d, int c, int n);
 extern int getchar();
 extern int exit(int code);
+extern int loanprobe();
 int g[64];
 int gi = 5;
 int finish() {
     int mode; int *np;
+    loanprobe();
     mode = getchar();
     if (mode == 'x') exit(3);
     if (mode == 'f') { np = 0; return *np; }
@@ -50,6 +53,32 @@ int main() {
     return fill(40);
 }
 `
+
+// loanSight is what loanprobe saw of a machine's lent pair: the pair
+// itself and how far the run had dirtied it.
+type loanSight struct {
+	pair                  *segments
+	dirtyStack, dirtyHeap int64
+}
+
+// loanSights maps each machine that called loanprobe to its last sight.
+// Machines run concurrently in TestSegmentLoanConcurrent, hence the lock.
+var loanSights struct {
+	sync.Mutex
+	by map[*Machine]loanSight
+}
+
+// loanprobe is an extern only the tests register: it watches the pair
+// while it is lent, on whichever engine the machine runs.
+func init() {
+	loanSights.by = make(map[*Machine]loanSight)
+	Externs["loanprobe"] = func(m *Machine, _ []int64) (int64, error) {
+		loanSights.Lock()
+		loanSights.by[m] = loanSight{m.mem.loan, m.mem.dirtyStack, m.mem.dirtyHeap}
+		loanSights.Unlock()
+		return 0, nil
+	}
+}
 
 // readerSrc is a different module that exits 42 only if its globals
 // hold their initial values, its first malloc'ed 64 KiB reads zero, and
@@ -138,21 +167,17 @@ func TestLoanCleanAfterAnyExit(t *testing.T) {
 			t.Run(engine+"/"+ex.stdin, func(t *testing.T) {
 				opts := loanOpts
 				opts.Engine = engine
-				// The trace hook sees the pair while it is lent, and how
-				// far the run has dirtied it.
-				var m *Machine
-				var pair *segments
-				var dirtyStack, dirtyHeap int64
-				opts.Trace = func(*ir.Func, int) {
-					pair = m.mem.loan
-					dirtyStack = max(dirtyStack, m.mem.dirtyStack)
-					dirtyHeap = max(dirtyHeap, m.mem.dirtyHeap)
-				}
 				m, err := NewMachine(dirtier, NewEnv(), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if m.Engine() != engine {
+					t.Fatalf("machine runs on %s, want %s", m.Engine(), engine)
+				}
 				check := func(run int) {
+					loanSights.Lock()
+					delete(loanSights.by, m)
+					loanSights.Unlock()
 					_, st, err := rerun(m, ex.stdin)
 					if ex.want == "" {
 						if err != nil || st.ExitCode != 3 || st.Truncated != 1 {
@@ -161,10 +186,16 @@ func TestLoanCleanAfterAnyExit(t *testing.T) {
 					} else if err == nil || !strings.Contains(err.Error(), ex.want) {
 						t.Fatalf("run %d: err = %v, want %q", run, err, ex.want)
 					}
-					if dirtyHeap < 65536 || dirtyStack < 40*512 {
-						t.Fatalf("run %d dirtied only %d heap and %d stack bytes", run, dirtyHeap, dirtyStack)
+					loanSights.Lock()
+					seen, ok := loanSights.by[m]
+					loanSights.Unlock()
+					if !ok {
+						t.Fatalf("run %d never called loanprobe", run)
 					}
-					if pair.lent.Load() || !allZero(pair.stack) || !allZero(pair.heap) {
+					if seen.dirtyHeap < 65536 || seen.dirtyStack < 40*512 {
+						t.Fatalf("run %d dirtied only %d heap and %d stack bytes", run, seen.dirtyHeap, seen.dirtyStack)
+					}
+					if pair := seen.pair; pair.lent.Load() || !allZero(pair.stack) || !allZero(pair.heap) {
 						t.Fatalf("run %d released its pair still lent or not all zero", run)
 					}
 				}

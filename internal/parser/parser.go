@@ -412,6 +412,9 @@ func (p *Parser) parseStructSpecifier() types.Type {
 				if fname == "" {
 					p.errorf(fpos, "expected field name")
 				}
+				if ftyp.Size() < 0 {
+					p.errorf(fpos, "field %s has incomplete type %s", fname, ftyp)
+				}
 				fields = append(fields, types.Field{Name: fname, Type: ftyp})
 				if !p.accept(token.Comma) {
 					break

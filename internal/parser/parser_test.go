@@ -297,6 +297,7 @@ func TestParseErrors(t *testing.T) {
 		"int a[-1];",                // negative array length
 		"int f() { if x) return; }", // missing paren
 		"int 5x;",                   // bad name
+		"struct S { char d[]; };",   // field of unknown length
 	}
 	for _, src := range cases {
 		if _, err := Parse("t.c", src); err == nil {

@@ -191,7 +191,7 @@ func (c *checker) collectGlobals() {
 				c.errorf(dd.Pos(), "global %s redeclared", dd.Name)
 				continue
 			}
-			if dd.Type != nil && dd.Type.Kind() == types.Struct && !dd.Type.(*types.StructType).Complete() {
+			if dd.Type != nil && (!dd.IsExtern && dd.Type.Size() < 0 || dd.Type.Kind() == types.Struct && !dd.Type.(*types.StructType).Complete()) {
 				c.errorf(dd.Pos(), "variable %s has incomplete type %s", dd.Name, dd.Type)
 			}
 			c.scope.names[dd.Name] = dd
@@ -319,7 +319,7 @@ func (c *checker) declareLocal(vd *ast.VarDecl) {
 	if vd.Type.Kind() == types.Void {
 		c.errorf(vd.Pos(), "variable %s has void type", vd.Name)
 	}
-	if st, ok := vd.Type.(*types.StructType); ok && !st.Complete() {
+	if st, ok := vd.Type.(*types.StructType); ok && !st.Complete() || vd.Type.Size() < 0 {
 		c.errorf(vd.Pos(), "variable %s has incomplete type %s", vd.Name, vd.Type)
 	}
 	c.scope.names[vd.Name] = vd

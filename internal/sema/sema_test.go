@@ -167,6 +167,10 @@ func TestCheckIncompleteTypes(t *testing.T) {
 	wantError(t, "struct Never; struct Never v;", "incomplete type")
 	// Pointers to forward-declared structs are fine.
 	mustCheck(t, "struct Fwd; struct Fwd *p;")
+	// An array whose length nothing gives has no size to lay out.
+	wantError(t, "char g[]; int main() { return 0; }", "variable g has incomplete type char[]")
+	wantError(t, "int main() { char a[]; return 0; }", "variable a has incomplete type char[]")
+	mustCheck(t, "extern char e[]; char s[] = \"abc\";")
 }
 
 func TestCheckVoidVariables(t *testing.T) {

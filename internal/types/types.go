@@ -103,7 +103,7 @@ func (p *Ptr) Size() int { return PtrSize }
 
 // Align returns the pointer alignment.
 func (p *Ptr) Align() int     { return PtrSize }
-func (p *Ptr) String() string { return p.Elem.String() + "*" }
+func (p *Ptr) String() string { return derivedString(p) }
 
 // Arr is a fixed-length array type.
 type Arr struct {
@@ -122,7 +122,47 @@ func (a *Arr) Size() int { return a.Elem.Size() * a.Len }
 
 // Align returns the element alignment.
 func (a *Arr) Align() int     { return a.Elem.Align() }
-func (a *Arr) String() string { return fmt.Sprintf("%s[%d]", a.Elem, a.Len) }
+func (a *Arr) String() string { return derivedString(a) }
+
+// maxTypeName bounds a rendered pointer or array type: a longer name
+// keeps its two ends around an ellipsis.
+const maxTypeName = 160
+
+// derivedString renders a chain of pointer and array types as the
+// innermost other type followed by one suffix per level, innermost first
+// ("char*[4]*"). It walks the chain instead of recursing, so naming a
+// type built a million typedefs deep costs time linear in the depth, and
+// the name it returns is at most maxTypeName bytes plus the ellipsis.
+func derivedString(t Type) string {
+	var levels []Type // outermost first
+	for {
+		switch d := t.(type) {
+		case *Ptr:
+			levels, t = append(levels, t), d.Elem
+			continue
+		case *Arr:
+			levels, t = append(levels, t), d.Elem
+			continue
+		}
+		break
+	}
+	var sb strings.Builder
+	sb.WriteString(t.String())
+	for i := len(levels) - 1; i >= 0; i-- {
+		if a, ok := levels[i].(*Arr); ok && a.Len < 0 {
+			sb.WriteString("[]") // length still unknown
+		} else if ok {
+			fmt.Fprintf(&sb, "[%d]", a.Len)
+		} else {
+			sb.WriteByte('*')
+		}
+	}
+	s := sb.String()
+	if len(s) > maxTypeName {
+		s = s[:maxTypeName/2] + "..." + s[len(s)-maxTypeName/2:]
+	}
+	return s
+}
 
 // Field is a struct member with its computed byte offset.
 type Field struct {

@@ -230,3 +230,20 @@ func TestQuickIdenticalIsEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDerivedTypeNames: pointer and array chains render innermost type
+// first, and a name past maxTypeName keeps its two ends.
+func TestDerivedTypeNames(t *testing.T) {
+	if got := PointerTo(ArrayOf(PointerTo(CharType), 4)).String(); got != "char*[4]*" {
+		t.Errorf("got %q, want char*[4]*", got)
+	}
+	var deep Type = IntType
+	for i := 0; i < 100000; i++ {
+		deep = PointerTo(deep)
+	}
+	deep = ArrayOf(deep, 7)
+	got := deep.String()
+	if len(got) != maxTypeName+len("...") || got[:4] != "int*" || got[len(got)-4:] != "*[7]" {
+		t.Errorf("100000-deep name: %d bytes %q", len(got), got)
+	}
+}
