@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"inlinec"
 	"inlinec/internal/bench"
 )
 
@@ -36,7 +37,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderrW io.Writer) int {
+func run(args []string, stdout, stderrW io.Writer) (code int) {
 	fs := flag.NewFlagSet("ilbench", flag.ContinueOnError)
 	fs.SetOutput(stderrW)
 	table := fs.String("table", "all", "table to print: 1, 2, 3, 4, 4x, or all")
@@ -50,7 +51,7 @@ func run(args []string, stdout, stderrW io.Writer) int {
 	maxRuns := fs.Int("runs", 0, "cap profiling runs per benchmark (0 = all)")
 	parallel := fs.Int("parallel", 0, "worker count for benchmarks and profiling runs (0 = all cores, 1 = serial); any value yields identical tables")
 	engine := fs.String("engine", "bytecode", "interpreter engine: bytecode, switch, or both (identical tables; different wall clock)")
-	profileMode := fs.String("profile-mode", "full", "profiling instrumentation: full (alias measured), minimal, sampled, all (every instrumentation mode), or predicted (inline with synthesized weights; zero profiling runs behind the decisions)")
+	profileMode := fs.String("profile-mode", "full", "profiling instrumentation: full (alias measured), minimal, sampled, all (every instrumentation mode), or predicted (inline with synthesized weights; zero profiling runs behind the decisions); hybrid needs a profile database and is rejected")
 	sampleRate := fs.Int("samplerate", 0, "1-in-k rate for sampled profiling (0 = default rate)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable per-benchmark results instead of the tables")
 	postOpt := fs.Bool("postopt", false, "apply post-inline cleanup passes before measuring")
@@ -68,6 +69,19 @@ func run(args []string, stdout, stderrW io.Writer) int {
 		return 2
 	}
 
+	// finish closes an output file after its final write; either error
+	// fails the command.
+	finish := func(flagName string, f *os.File, err error) {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(stderrW, "ilbench: %s: %v\n", flagName, err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -75,27 +89,23 @@ func run(args []string, stdout, stderrW io.Writer) int {
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderrW, "ilbench: %v\n", err)
-			f.Close()
+			finish("-cpuprofile", f, err)
 			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			finish("-cpuprofile", f, nil)
 		}()
 	}
 	if *memprofile != "" {
+		f, err := os.Create(*memprofile)
+		if err != nil {
+			fmt.Fprintf(stderrW, "ilbench: %v\n", err)
+			return 1
+		}
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(stderrW, "ilbench: %v\n", err)
-				return
-			}
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderrW, "ilbench: %v\n", err)
-			}
-			f.Close()
+			finish("-memprofile", f, pprof.WriteHeapProfile(f))
 		}()
 	}
 
@@ -124,17 +134,17 @@ func run(args []string, stdout, stderrW io.Writer) int {
 	}
 	cfg.Engine = engines[0]
 
-	var modes []string
-	switch *profileMode {
-	case "", "full", "minimal", "sampled", bench.ModePredicted:
+	modes := []string{"full", "minimal", "sampled"}
+	if *profileMode != "all" {
+		_, weights, err := inlinec.ParseProfileMode(*profileMode)
+		if err == nil && weights == inlinec.WeightsHybrid {
+			err = fmt.Errorf("-profile-mode hybrid needs a profile database; ilbench measures or predicts weights")
+		}
+		if err != nil {
+			fmt.Fprintf(stderrW, "ilbench: %v\n", err)
+			return 2
+		}
 		modes = []string{*profileMode}
-	case "measured":
-		modes = []string{"full"}
-	case "all":
-		modes = []string{"full", "minimal", "sampled"}
-	default:
-		fmt.Fprintf(stderrW, "ilbench: unknown profile mode %q (want full/measured, minimal, sampled, predicted, or all)\n", *profileMode)
-		return 2
 	}
 	cfg.ProfileMode = modes[0]
 	cfg.SampleRate = *sampleRate
@@ -172,7 +182,7 @@ func run(args []string, stdout, stderrW io.Writer) int {
 				fmt.Fprintf(stderrW, "ilbench: unknown benchmark %q (have %v)\n", name, bench.SuiteNames())
 				return 2
 			}
-			r, err := bench.RunAgreement(b, cfg, nil)
+			r, err := bench.RunAgreement(b, cfg)
 			if err != nil {
 				fmt.Fprintf(stderrW, "ilbench: %v\n", err)
 				return 1

@@ -108,3 +108,27 @@ func TestBenchBadFlag(t *testing.T) {
 		t.Error("unknown flag must fail")
 	}
 }
+
+// TestBenchProfileModes: ilbench shares the one -profile-mode parser.
+// hybrid needs a profile database the suite does not have, so it is
+// rejected up front like an unknown value, before anything runs.
+func TestBenchProfileModes(t *testing.T) {
+	for _, mode := range []string{"hybrid", "bogus"} {
+		code, out, errb := runBench(t, "-bench", "wc", "-runs", "1", "-profile-mode", mode)
+		if code != 2 || out != "" || !strings.Contains(errb, mode) {
+			t.Errorf("-profile-mode %s: exit = %d, stdout %q, stderr %q; want exit 2 and a message naming the mode", mode, code, out, errb)
+		}
+	}
+}
+
+// TestBenchUnwritableOutputs: a profile file that cannot be created
+// fails the command instead of being reported and ignored.
+func TestBenchUnwritableOutputs(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "out.pprof")
+	for _, flag := range []string{"-memprofile", "-cpuprofile"} {
+		code, _, errb := runBench(t, "-bench", "wc", "-runs", "1", "-table", "4", flag, missing)
+		if code == 0 || !strings.Contains(errb, "no-such-dir") {
+			t.Errorf("%s into a missing directory: exit = %d, stderr %q; want nonzero and the path", flag, code, errb)
+		}
+	}
+}

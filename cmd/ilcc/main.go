@@ -36,6 +36,7 @@ import (
 	"inlinec"
 	"inlinec/internal/inline"
 	"inlinec/internal/obs"
+	"inlinec/internal/predict"
 	"inlinec/internal/profdb"
 )
 
@@ -51,7 +52,7 @@ func (f *fileList) Set(s string) error {
 	return nil
 }
 
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("ilcc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	doRun := fs.Bool("run", false, "execute the program (stdin is the program's stdin)")
@@ -84,19 +85,30 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *explainInline || *inlineTrace != "" {
 		*doInline = true
 	}
-	var reg *obs.Registry
+	mode, weights, err := inlinec.ParseProfileMode(*profileMode)
+	if err != nil {
+		fmt.Fprintf(stderr, "ilcc: %v\n", err)
+		return 2
+	}
+	opts := inlinec.Options{Parallelism: *parallel, Engine: *engine, ProfileMode: mode, SampleRate: *sampleRate}
 	if *tracePath != "" {
-		reg = obs.NewRegistry()
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			fmt.Fprintf(stderr, "ilcc: -trace: %v\n", err)
+			return 1
+		}
+		opts.Obs = obs.NewRegistry()
 		defer func() {
-			f, err := os.Create(*tracePath)
+			err := opts.Obs.WriteChromeTrace(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 			if err != nil {
 				fmt.Fprintf(stderr, "ilcc: -trace: %v\n", err)
-				return
+				if code == 0 {
+					code = 1
+				}
 			}
-			if err := reg.WriteChromeTrace(f); err != nil {
-				fmt.Fprintf(stderr, "ilcc: -trace: %v\n", err)
-			}
-			f.Close()
 		}()
 	}
 
@@ -117,7 +129,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		prog, err = inlinec.CompileWithObs(srcPath, string(src), reg)
+		prog, err = inlinec.CompileWith(opts, srcPath, string(src))
 		if err != nil {
 			return fail(err)
 		}
@@ -134,27 +146,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			}
 			sources = append(sources, inlinec.UnitSource{Name: path, Src: string(src)})
 		}
-		var err error
-		prog, err = inlinec.CompileAndLinkObs("a.out", *parallel, reg, sources...)
+		prog, err = inlinec.CompileAndLink("a.out", opts, sources...)
 		if err != nil {
 			return fail(err)
 		}
 	}
-	// -profile-mode covers two axes: the instrumentation modes
-	// (full/minimal/sampled) flow into the interpreter, while the
-	// profile-source modes (measured/predicted/hybrid) select where
-	// -inline gets its arc weights. The source modes leave the
-	// interpreter on full instrumentation for any run they perform.
-	profSource := ""
-	switch *profileMode {
-	case "measured", "predicted", "hybrid":
-		profSource = *profileMode
-		*profileMode = ""
-	}
-	prog.Parallelism = *parallel
-	prog.Engine = *engine
-	prog.ProfileMode = *profileMode
-	prog.SampleRate = *sampleRate
 
 	if *tco {
 		n, err := prog.EliminateTailCalls()
@@ -189,44 +185,34 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		switch {
 		case *profdbSrc != "" && *profilePath != "":
 			return fail(fmt.Errorf("-profile and -profdb are mutually exclusive"))
-		case profSource == "predicted":
+		case weights == inlinec.WeightsPredicted:
 			if *profilePath != "" || *profdbSrc != "" {
 				return fail(fmt.Errorf("-profile-mode=predicted takes no measured profile; drop -profile/-profdb or use -profile-mode=hybrid"))
 			}
 			// Zero profiling runs: weights come from static features and
 			// the embedded calibrated model alone.
 			prof = prog.PredictProfile()
-		case profSource == "hybrid":
-			if *profdbSrc == "" {
-				return fail(fmt.Errorf("-profile-mode=hybrid needs -profdb (a .profdb file or an ilprofd base URL)"))
-			}
-			var err error
-			prof, err = hybridFromDB(prog, *profdbSrc, stderr)
-			if err != nil {
-				if !strings.HasPrefix(*profdbSrc, "http://") && !strings.HasPrefix(*profdbSrc, "https://") {
-					return fail(err)
-				}
-				// The profile daemon being down must not fail the compile: the
-				// whole point of hybrid is surviving missing measurements,
-				// so degrade to pure prediction and keep going.
-				fmt.Fprintf(stderr, "ilcc: warning: profile database %s unavailable (%v); falling back to predicted weights\n",
-					*profdbSrc, err)
-				prof = prog.PredictProfile()
-			}
+		case weights == inlinec.WeightsHybrid && *profdbSrc == "":
+			return fail(fmt.Errorf("-profile-mode=hybrid needs -profdb (a .profdb file or an ilprofd base URL)"))
 		case *profdbSrc != "":
-			var err error
-			prof, err = profileFromDB(prog, *profdbSrc, stderr)
+			prof, err = weightsFromDB(prog, *profdbSrc, weights, stderr)
 			if err != nil {
-				if !strings.HasPrefix(*profdbSrc, "http://") && !strings.HasPrefix(*profdbSrc, "https://") {
+				if !isURL(*profdbSrc) {
 					return fail(err) // a local file is deterministic config: failing it is a bug to surface
 				}
 				// The profile daemon being down must not fail the compile:
-				// degrade to in-process profiling and keep going.
-				fmt.Fprintf(stderr, "ilcc: warning: profile database %s unavailable (%v); falling back to in-process profiling\n",
-					*profdbSrc, err)
-				prof, err = prog.ProfileInputs(input)
-				if err != nil {
-					return fail(fmt.Errorf("profiling: %w", err))
+				// degrade to what the weight source can do without it and
+				// keep going.
+				if weights == inlinec.WeightsHybrid {
+					fmt.Fprintf(stderr, "ilcc: warning: profile database %s unavailable (%v); falling back to predicted weights\n",
+						*profdbSrc, err)
+					prof = prog.PredictProfile()
+				} else {
+					fmt.Fprintf(stderr, "ilcc: warning: profile database %s unavailable (%v); falling back to in-process profiling\n",
+						*profdbSrc, err)
+					if prof, err = prog.ProfileInputs(input); err != nil {
+						return fail(fmt.Errorf("profiling: %w", err))
+					}
 				}
 			}
 		case *profilePath != "":
@@ -240,9 +226,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				return fail(err)
 			}
 		default:
-			var err error
-			prof, err = prog.ProfileInputs(input)
-			if err != nil {
+			if prof, err = prog.ProfileInputs(input); err != nil {
 				return fail(fmt.Errorf("profiling: %w", err))
 			}
 		}
@@ -321,73 +305,51 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// profileFromDB obtains the merged database profile for the compiled
+// weightsFromDB obtains the merged database record for the compiled
 // program — from a local .profdb file, or over HTTP from a running
-// ilprofd when src is a base URL. Either way the stable-key snapshot is
-// resolved against the current module and any staleness is reported to
-// stderr before the weights feed the call graph.
-func profileFromDB(prog *inlinec.Program, src string, stderr io.Writer) (*inlinec.Profile, error) {
-	if !strings.HasPrefix(src, "http://") && !strings.HasPrefix(src, "https://") {
+// ilprofd when src is a base URL — resolves its stable keys against the
+// current module, and reports any staleness to stderr before the
+// weights feed the call graph. Measured weights are the resolved
+// profile, and an empty one is an error. Hybrid weights keep it only at
+// sites that resolved exactly and predict the rest, so an empty or fully
+// stale record still yields weights and only the report tells the
+// difference.
+func weightsFromDB(prog *inlinec.Program, src, weights string, stderr io.Writer) (*inlinec.Profile, error) {
+	var rec *profdb.Record
+	var report profdb.Report
+	if isURL(src) {
+		client := profdb.NewClient(src)
+		client.Warn = stderr
+		client.Obs = prog.Obs
+		var err error
+		if _, rec, err = client.FetchProfile(prog.Fingerprint(), nil); err != nil {
+			return nil, err
+		}
+	} else {
 		db, err := profdb.ReadDBFile(src, "")
 		if err != nil {
 			return nil, err
 		}
-		prof, report := prog.ProfileFromDB(db, profdb.DefaultMergeParams())
-		if prof.Runs == 0 {
-			return nil, fmt.Errorf("%s holds no usable data for fingerprint %s", src, prog.Fingerprint())
-		}
-		if !report.Clean() {
-			fmt.Fprintf(stderr, "%s\n", report)
-		}
-		return prof, nil
+		var merged *profdb.MergeStats
+		rec, merged = db.Merge(prog.Fingerprint(), profdb.DefaultMergeParams())
+		report.Merge = *merged
 	}
-
-	client := profdb.NewClient(src)
-	client.Warn = stderr
-	client.Obs = prog.Obs
-	_, rec, err := client.FetchProfile(prog.Fingerprint(), nil)
-	if err != nil {
-		return nil, err
+	prof, resolved := rec.Resolve(profdb.ModuleKeys(prog.Module))
+	report.Resolve = *resolved
+	if weights == inlinec.WeightsMeasured && prof.Runs == 0 {
+		return nil, fmt.Errorf("%s holds no usable data for fingerprint %s", src, prog.Fingerprint())
 	}
-	prof, stats := rec.Resolve(profdb.ModuleKeys(prog.Module))
-	if prof.Runs == 0 {
-		return nil, fmt.Errorf("%s served an empty profile", src)
+	if !report.Clean() {
+		fmt.Fprintf(stderr, "%s\n", &report)
 	}
-	if stats.MovedSites > 0 || stats.DroppedSites > 0 || stats.DroppedFuncs > 0 {
-		report := &profdb.Report{Resolve: *stats}
-		fmt.Fprintf(stderr, "%s\n", report)
+	if weights == inlinec.WeightsHybrid {
+		prof = predict.Hybrid(prog.PredictProfile(), prof, resolved.ExactIDs)
 	}
 	return prof, nil
 }
 
-// hybridFromDB obtains the hybrid (measured-where-exact, predicted
-// elsewhere) profile from a database file or a running ilprofd. Unlike
-// the measured path, an empty or fully stale database is not an error:
-// prediction fills whatever measurement cannot cover, and only the
-// staleness report tells the difference.
-func hybridFromDB(prog *inlinec.Program, src string, stderr io.Writer) (*inlinec.Profile, error) {
-	if !strings.HasPrefix(src, "http://") && !strings.HasPrefix(src, "https://") {
-		db, err := profdb.ReadDBFile(src, "")
-		if err != nil {
-			return nil, err
-		}
-		prof, report := prog.HybridProfileFromDB(db, profdb.DefaultMergeParams())
-		if !report.Clean() {
-			fmt.Fprintf(stderr, "%s\n", report)
-		}
-		return prof, nil
-	}
-	client := profdb.NewClient(src)
-	client.Warn = stderr
-	client.Obs = prog.Obs
-	_, rec, err := client.FetchProfile(prog.Fingerprint(), nil)
-	if err != nil {
-		return nil, err
-	}
-	prof, stats := prog.HybridProfileFromRecord(rec)
-	if stats.MovedSites > 0 || stats.DroppedSites > 0 || stats.DroppedFuncs > 0 {
-		report := &profdb.Report{Resolve: *stats}
-		fmt.Fprintf(stderr, "%s\n", report)
-	}
-	return prof, nil
+// isURL reports whether a -profdb source names an ilprofd base URL
+// rather than a database file.
+func isURL(src string) bool {
+	return strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://")
 }

@@ -161,17 +161,22 @@ int main() {
 func TestCLIErrors(t *testing.T) {
 	dir := t.TempDir()
 	bad := writeFile(t, dir, "bad.c", "int main( { return }")
-	cases := [][]string{
-		{},                  // no args
-		{"-badflag", "x.c"}, // unknown flag
-		{filepath.Join(dir, "missing.c")},
-		{bad},
-		{"-inline", "-heuristic", "bogus", bad},
-		{"-run", "-file", "malformed", bad},
+	good := writeFile(t, dir, "good.c", prog)
+	cases := []struct {
+		args []string
+		want int
+	}{
+		{nil, 2},                         // no args
+		{[]string{"-badflag", "x.c"}, 2}, // unknown flag
+		{[]string{filepath.Join(dir, "missing.c")}, 1},
+		{[]string{bad}, 1},
+		{[]string{"-inline", "-heuristic", "bogus", bad}, 1},
+		{[]string{"-run", "-file", "malformed", bad}, 1},
+		{[]string{"-profile-mode", "bogus", good}, 2}, // rejected even with nothing to run
 	}
-	for _, args := range cases {
-		if code, _, _ := runCLI(t, args, ""); code == 0 {
-			t.Errorf("args %v: expected nonzero exit", args)
+	for _, c := range cases {
+		if code, _, _ := runCLI(t, c.args, ""); code != c.want {
+			t.Errorf("args %v: exit = %d, want %d", c.args, code, c.want)
 		}
 	}
 }
@@ -229,12 +234,10 @@ func TestCLIInlineFromProfDBFile(t *testing.T) {
 	}
 }
 
-// TestCLIInlineFromProfDBHTTP: the same flow with -profdb pointing at an
-// ilprofd-compatible HTTP endpoint.
-func TestCLIInlineFromProfDBHTTP(t *testing.T) {
-	dir := t.TempDir()
-	p := writeFile(t, dir, "p.c", prog)
-	dbPath := seedDB(t, dir, p)
+// serveDB serves the database file at dbPath the way ilprofd's GET
+// /profile does: the merged record for the requested fingerprint.
+func serveDB(t *testing.T, dbPath string) *httptest.Server {
+	t.Helper()
 	db, err := profdb.ReadDBFile(dbPath, "")
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +251,16 @@ func TestCLIInlineFromProfDBHTTP(t *testing.T) {
 		}
 		profdb.WriteSnapshot(w, db.Program, merged)
 	}))
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts
+}
 
+// TestCLIInlineFromProfDBHTTP: the same flow with -profdb pointing at an
+// ilprofd-compatible HTTP endpoint.
+func TestCLIInlineFromProfDBHTTP(t *testing.T) {
+	dir := t.TempDir()
+	p := writeFile(t, dir, "p.c", prog)
+	ts := serveDB(t, seedDB(t, dir, p))
 	code, out, errb := runCLI(t, []string{"-inline", "-run", "-profdb", ts.URL, p}, "")
 	if code != 0 {
 		t.Fatalf("exit = %d (%s)", code, errb)
@@ -259,6 +270,28 @@ func TestCLIInlineFromProfDBHTTP(t *testing.T) {
 	}
 	if !strings.Contains(errb, "expanded site") {
 		t.Errorf("expansion report missing: %q", errb)
+	}
+}
+
+// TestCLIHybridFromProfDBHTTP: hybrid weights from a served database
+// resolve every site exactly, so the program inlines and runs as with
+// measured weights.
+func TestCLIHybridFromProfDBHTTP(t *testing.T) {
+	dir := t.TempDir()
+	p := writeFile(t, dir, "p.c", prog)
+	ts := serveDB(t, seedDB(t, dir, p))
+	code, out, errb := runCLI(t, []string{"-inline", "-run", "-profile-mode", "hybrid", "-profdb", ts.URL, p}, "")
+	if code != 0 {
+		t.Fatalf("exit = %d (%s)", code, errb)
+	}
+	if out != "3675\n" {
+		t.Errorf("stdout = %q", out)
+	}
+	if !strings.Contains(errb, "expanded site") {
+		t.Errorf("expansion report missing: %q", errb)
+	}
+	if strings.Contains(errb, "profdb:") {
+		t.Errorf("clean database consumption must not print a staleness report: %q", errb)
 	}
 }
 
@@ -314,6 +347,30 @@ func TestCLIProfDBUnreachableDegrades(t *testing.T) {
 	}
 	if !strings.Contains(errb, "expanded site") {
 		t.Errorf("fallback profile must still drive inlining: %q", errb)
+	}
+}
+
+// TestCLIHybridProfDBUnreachableDegrades: with hybrid weights a dead
+// profile daemon degrades to pure prediction, not to profiling — ilcc
+// warns and still inlines on the predicted weights.
+func TestCLIHybridProfDBUnreachableDegrades(t *testing.T) {
+	dir := t.TempDir()
+	p := writeFile(t, dir, "p.c", prog)
+	// Predicted weights are per-run expectations, so drop the threshold
+	// to the per-run scale (see TestCLIPredictedMode).
+	code, out, errb := runCLI(t, []string{"-inline", "-run", "-profile-mode", "hybrid", "-threshold", "0.25",
+		"-profdb", "http://127.0.0.1:1/", p}, "")
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0 (graceful degradation); stderr: %s", code, errb)
+	}
+	if !strings.Contains(errb, "falling back to predicted weights") {
+		t.Errorf("degradation must be announced on stderr: %q", errb)
+	}
+	if !strings.Contains(errb, "expanded site") {
+		t.Errorf("predicted fallback must still drive inlining: %q", errb)
+	}
+	if out != "3675\n" {
+		t.Errorf("stdout = %q", out)
 	}
 }
 
@@ -421,5 +478,16 @@ func TestCLIPredictModeErrors(t *testing.T) {
 		if code, _, _ := runCLI(t, args, ""); code == 0 {
 			t.Errorf("args %v: expected nonzero exit", args)
 		}
+	}
+}
+
+// TestCLIUnwritableTrace: a -trace file that cannot be created fails the
+// command instead of being reported and ignored.
+func TestCLIUnwritableTrace(t *testing.T) {
+	dir := t.TempDir()
+	p := writeFile(t, dir, "p.c", prog)
+	code, _, errb := runCLI(t, []string{"-trace", filepath.Join(dir, "no-such-dir", "t.json"), p}, "")
+	if code == 0 || !strings.Contains(errb, "no-such-dir") {
+		t.Errorf("exit = %d, stderr %q; want nonzero and the path", code, errb)
 	}
 }

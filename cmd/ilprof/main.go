@@ -68,7 +68,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 // runProfile is the classic profiling mode, optionally feeding the result
 // into a database file (-db) and/or a running ilprofd (-post).
-func runProfile(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func runProfile(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("ilprof", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sites := fs.Bool("sites", false, "print per-call-site arc weights")
@@ -78,7 +78,7 @@ func runProfile(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	gen := fs.Int("gen", -1, "generation stamp for -db/-post (-1 = one past the database's newest)")
 	parallel := fs.Int("parallel", 0, "profiling worker count (0 = all cores, 1 = serial); any value yields an identical profile")
 	engine := fs.String("engine", "", "interpreter engine: bytecode (default) or switch; both yield identical profiles")
-	profileMode := fs.String("profile-mode", "", "profiling instrumentation: full (default), minimal (reduced counters, exact reconstruction), or sampled (1-in-k counting, approximate)")
+	profileMode := fs.String("profile-mode", "", "profiling instrumentation: full (default; measured is an alias), minimal (reduced counters, exact reconstruction), or sampled (1-in-k counting, approximate)")
 	sampleRate := fs.Int("samplerate", 0, "1-in-k rate for -profile-mode sampled (0 = default rate)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the profiler itself to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -88,20 +88,36 @@ func runProfile(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var reg *obs.Registry
+	mode, weights, err := inlinec.ParseProfileMode(*profileMode)
+	if err == nil && weights != inlinec.WeightsMeasured {
+		err = fmt.Errorf("-profile-mode %s is a weight source for ilcc; ilprof measures (want full, minimal, or sampled)", weights)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "ilprof: %v\n", err)
+		return 2
+	}
+	opts := inlinec.Options{Parallelism: *parallel, Engine: *engine, ProfileMode: mode, SampleRate: *sampleRate}
+	// finish closes an output file after its final write; either error
+	// fails the command.
+	finish := func(flagName string, f *os.File, err error) {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "ilprof: %s: %v\n", flagName, err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}
 	if *tracePath != "" {
-		reg = obs.NewRegistry()
-		defer func() {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fmt.Fprintf(stderr, "ilprof: -trace: %v\n", err)
-				return
-			}
-			if err := reg.WriteChromeTrace(f); err != nil {
-				fmt.Fprintf(stderr, "ilprof: -trace: %v\n", err)
-			}
-			f.Close()
-		}()
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			fmt.Fprintf(stderr, "ilprof: -trace: %v\n", err)
+			return 1
+		}
+		opts.Obs = obs.NewRegistry()
+		defer func() { finish("-trace", f, opts.Obs.WriteChromeTrace(f)) }()
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -110,27 +126,23 @@ func runProfile(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "ilprof: %v\n", err)
-			f.Close()
+			finish("-cpuprofile", f, err)
 			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			finish("-cpuprofile", f, nil)
 		}()
 	}
 	if *memprofile != "" {
+		f, err := os.Create(*memprofile)
+		if err != nil {
+			fmt.Fprintf(stderr, "ilprof: %v\n", err)
+			return 1
+		}
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(stderr, "ilprof: %v\n", err)
-				return
-			}
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "ilprof: %v\n", err)
-			}
-			f.Close()
+			finish("-memprofile", f, pprof.WriteHeapProfile(f))
 		}()
 	}
 	if fs.NArg() != 1 {
@@ -143,15 +155,11 @@ func runProfile(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ilprof: %v\n", err)
 		return 1
 	}
-	prog, err := inlinec.CompileWithObs(fs.Arg(0), string(src), reg)
+	prog, err := inlinec.CompileWith(opts, fs.Arg(0), string(src))
 	if err != nil {
 		fmt.Fprintf(stderr, "ilprof: %v\n", err)
 		return 1
 	}
-	prog.Parallelism = *parallel
-	prog.Engine = *engine
-	prog.ProfileMode = *profileMode
-	prog.SampleRate = *sampleRate
 
 	var inputs []inlinec.Input
 	if len(ins) == 0 {

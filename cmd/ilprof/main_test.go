@@ -318,3 +318,45 @@ func TestProfilerVerbErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestProfilerProfileModes: ilprof shares the one -profile-mode parser
+// with ilcc and ilbench. measured is an alias for full, and the weight
+// sources ilprof cannot produce — predicted, hybrid — exit 2 with a
+// message, as do unknown values.
+func TestProfilerProfileModes(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "p.c")
+	os.WriteFile(p, []byte(prog), 0o644)
+	code, full, errb := runCLI(t, []string{"-sites", "-profile-mode", "full", p}, "")
+	if code != 0 {
+		t.Fatalf("full: exit = %d (%s)", code, errb)
+	}
+	code, measured, errb := runCLI(t, []string{"-sites", "-profile-mode", "measured", p}, "")
+	if code != 0 {
+		t.Fatalf("measured: exit = %d (%s)", code, errb)
+	}
+	if measured != full {
+		t.Errorf("measured profile differs from full:\n%s\nvs\n%s", measured, full)
+	}
+	for _, mode := range []string{"predicted", "hybrid", "bogus"} {
+		code, out, errb := runCLI(t, []string{"-profile-mode", mode, p}, "")
+		if code != 2 || out != "" || !strings.Contains(errb, mode) {
+			t.Errorf("-profile-mode %s: exit = %d, stdout %q, stderr %q; want exit 2 and a message naming the mode", mode, code, out, errb)
+		}
+	}
+}
+
+// TestProfilerUnwritableOutputs: an output file that cannot be created
+// fails the command instead of being reported and ignored.
+func TestProfilerUnwritableOutputs(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "p.c")
+	os.WriteFile(p, []byte(prog), 0o644)
+	missing := filepath.Join(dir, "no-such-dir", "out")
+	for _, flag := range []string{"-trace", "-memprofile", "-cpuprofile"} {
+		code, _, errb := runCLI(t, []string{flag, missing, p}, "")
+		if code == 0 || !strings.Contains(errb, "no-such-dir") {
+			t.Errorf("%s into a missing directory: exit = %d, stderr %q; want nonzero and the path", flag, code, errb)
+		}
+	}
+}

@@ -22,9 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"inlinec/internal/callgraph"
 	"inlinec/internal/icache"
@@ -36,6 +33,7 @@ import (
 	"inlinec/internal/obs"
 	"inlinec/internal/opt"
 	"inlinec/internal/parser"
+	"inlinec/internal/pool"
 	"inlinec/internal/predict"
 	"inlinec/internal/profdb"
 	"inlinec/internal/profile"
@@ -105,16 +103,6 @@ func (p *Program) ProfileFromDB(db *ProfDB, params ProfDBMergeParams) (*Profile,
 	return db.ProfileFor(p.Fingerprint(), profdb.ModuleKeys(p.Module), params)
 }
 
-// PredictModel re-exports the calibrated weight-prediction model behind
-// -profile-mode=predicted (see internal/predict and docs/predict.md).
-type PredictModel = predict.Model
-
-// ReadPredictModel parses a serialized ILPREDICT model, strictly.
-func ReadPredictModel(r io.Reader) (*PredictModel, error) { return predict.ReadModel(r) }
-
-// DefaultPredictModel returns the embedded calibrated model.
-func DefaultPredictModel() *PredictModel { return predict.DefaultModel() }
-
 // PredictProfile synthesizes a profile for the working module from
 // static features alone — zero profiling runs — using the embedded
 // calibrated model. The result is shaped exactly like a measured
@@ -123,13 +111,8 @@ func DefaultPredictModel() *PredictModel { return predict.DefaultModel() }
 // unchanged. Deterministic: the same module always predicts the same
 // profile. Runs under a "predict" span on the program's registry.
 func (p *Program) PredictProfile() *Profile {
-	return p.PredictProfileWith(predict.DefaultModel())
-}
-
-// PredictProfileWith is PredictProfile with an explicit model.
-func (p *Program) PredictProfileWith(m *PredictModel) *Profile {
 	defer p.Obs.StartSpan("predict")()
-	return predict.Synthesize(p.Module, m)
+	return predict.Synthesize(p.Module, predict.DefaultModel())
 }
 
 // HybridProfileFromDB implements -profile-mode=hybrid against a profile
@@ -140,13 +123,6 @@ func (p *Program) PredictProfileWith(m *PredictModel) *Profile {
 func (p *Program) HybridProfileFromDB(db *ProfDB, params ProfDBMergeParams) (*Profile, *ProfDBReport) {
 	measured, report := p.ProfileFromDB(db, params)
 	return predict.Hybrid(p.PredictProfile(), measured, report.Resolve.ExactIDs), report
-}
-
-// HybridProfileFromRecord is HybridProfileFromDB for an already-merged
-// record, e.g. one served by ilprofd.
-func (p *Program) HybridProfileFromRecord(rec *ProfDBRecord) (*Profile, *profdb.ResolveStats) {
-	measured, stats := rec.Resolve(profdb.ModuleKeys(p.Module))
-	return predict.Hybrid(p.PredictProfile(), measured, stats.ExactIDs), stats
 }
 
 // Graph re-exports the weighted call graph.
@@ -183,30 +159,31 @@ type RunOutput struct {
 	Stats *RunStats
 }
 
-// Program is a compiled MiniC translation unit plus its pristine original,
-// kept for before/after comparisons.
-type Program struct {
-	// Module is the working IL module; Inline rewrites it in place.
-	Module *ir.Module
-	// Original is the module as compiled (after the paper's pre-inline
-	// constant folding and jump optimization), untouched by Inline.
-	Original *ir.Module
-
+// Options configures every pipeline stage a Program runs: how many
+// workers it fans out over, where phase spans and metrics go, which
+// interpreter engine executes it, and how much profiling
+// instrumentation its runs carry. The zero value is the default
+// configuration. CompileWith and CompileAndLink take one, and Program
+// embeds it, so a field set before compilation holds for every later
+// stage and can still be changed between stages.
+type Options struct {
 	// Parallelism bounds the worker pools the whole table-regeneration
 	// pipeline fans out over: 0 uses every core, 1 runs serially, N uses
-	// N workers. ProfileInputs distributes profiling runs (independent
-	// Machine and Env per run, merged in input order, so any setting
-	// produces bit-identical profiles); Inline schedules physical
+	// N workers. Compilation runs the pre-inline passes and separate
+	// units concurrently; ProfileInputs distributes profiling runs
+	// (independent Machine and Env per run, merged in input order, so any
+	// setting produces bit-identical profiles); Inline schedules physical
 	// expansion's dependency waves over the same bound; Optimize runs the
 	// per-function cleanup pipelines concurrently. Every setting produces
 	// byte-identical modules, decision lists, and tables.
 	Parallelism int
 
-	// Obs, when set, receives phase spans (profile/callgraph/expand/opt)
-	// and pipeline metrics from every subsequent operation on the
-	// program. Observation never feeds back into compilation: modules,
-	// decision lists, and traces are byte-identical with or without a
-	// registry attached, at any Parallelism. A nil registry is a no-op.
+	// Obs, when set, receives phase spans (frontend/link/profile/
+	// callgraph/expand/opt) and pipeline metrics from compilation and
+	// every later operation on the program. Observation never feeds back
+	// into compilation: modules, decision lists, and traces are
+	// byte-identical with or without a registry attached, at any
+	// Parallelism. A nil registry is a no-op.
 	Obs *obs.Registry
 
 	// Engine selects the interpreter engine for Run/Profile/SimulateICache:
@@ -223,12 +200,59 @@ type Program struct {
 	// events and rescales. Minimal profiles are byte-identical to full
 	// ones; sampled profiles are approximate but an order of magnitude
 	// cheaper to collect. Both engines honor the mode identically.
+	// ParseProfileMode maps a -profile-mode flag value onto this field.
 	ProfileMode string
 
 	// SampleRate is the 1-in-k rate for interp.ProfileSampled (0 uses
 	// interp.DefaultSampleRate, 1 counts everything). Ignored by the
 	// other modes.
 	SampleRate int
+}
+
+// The weight sources a -profile-mode value can name: where the arc
+// weights Inline consumes come from.
+const (
+	// WeightsMeasured profiles the program on its inputs (ProfileInputs,
+	// a saved profile, or a profile database).
+	WeightsMeasured = "measured"
+	// WeightsPredicted synthesizes weights from static features
+	// (PredictProfile): zero profiling runs.
+	WeightsPredicted = "predicted"
+	// WeightsHybrid keeps a profile database's weights at sites that
+	// resolve exactly and predicts the rest (HybridProfileFromDB).
+	WeightsHybrid = "hybrid"
+)
+
+// ParseProfileMode splits a -profile-mode value along its two axes: the
+// interpreter instrumentation mode for Options.ProfileMode, and the
+// weight source. The instrumentation modes full, minimal, and sampled
+// select measured weights; the empty default and measured both mean
+// full; predicted and hybrid leave any run made on their behalf fully
+// instrumented. Every tool parses the flag here, so all of them accept
+// and reject the same values.
+func ParseProfileMode(v string) (mode, weights string, err error) {
+	switch v {
+	case interp.ProfileMinimal, interp.ProfileSampled:
+		return v, WeightsMeasured, nil
+	case "", interp.ProfileFull, WeightsMeasured:
+		return interp.ProfileFull, WeightsMeasured, nil
+	case WeightsPredicted, WeightsHybrid:
+		return interp.ProfileFull, v, nil
+	}
+	return "", "", fmt.Errorf("unknown profile mode %q (want full, minimal, sampled, measured, predicted, or hybrid)", v)
+}
+
+// Program is a compiled MiniC translation unit plus its pristine original,
+// kept for before/after comparisons, and the Options its later stages
+// run under.
+type Program struct {
+	// Module is the working IL module; Inline rewrites it in place.
+	Module *ir.Module
+	// Original is the module as compiled (after the paper's pre-inline
+	// constant folding and jump optimization), untouched by Inline.
+	Original *ir.Module
+
+	Options
 
 	name string
 }
@@ -246,25 +270,26 @@ func (p *Program) machineOpts(stackSize int) interp.Options {
 	}
 }
 
-// workers maps the Parallelism field onto an effective worker count.
-func (p *Program) workers() int {
-	if p.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
+// Compile parses, checks, lowers, and pre-optimizes a MiniC source file
+// under the default Options. As in the paper, constant folding and jump
+// optimization run before inline expansion.
+func Compile(name, src string) (*Program, error) { return CompileWith(Options{}, name, src) }
+
+// CompileWith is Compile under o: lex/parse, semantic checking, IL
+// generation, and pre-inline optimization each run under their own span
+// in o.Obs, and the returned Program carries o so every later pipeline
+// stage runs under it too.
+func CompileWith(o Options, name, src string) (*Program, error) {
+	mod, err := frontEnd(name, src, o.Obs, o.Parallelism)
+	if err != nil {
+		return nil, err
 	}
-	return p.Parallelism
+	return &Program{Module: mod, Original: mod.Clone(), Options: o, name: name}, nil
 }
 
-// Compile parses, checks, lowers, and pre-optimizes a MiniC source file.
-// As in the paper, constant folding and jump optimization run before
-// inline expansion.
-func Compile(name, src string) (*Program, error) { return CompileWithObs(name, src, nil) }
-
-// CompileWithObs is Compile with front-end phase accounting: lex/parse,
-// semantic checking, IL generation, and pre-inline optimization each run
-// under their own span in reg, and the returned Program carries the
-// registry so every later pipeline stage reports into it too. A nil
-// registry degrades to plain Compile.
-func CompileWithObs(name, src string, reg *obs.Registry) (*Program, error) {
+// frontEnd runs one translation unit through parse, sema, irgen, and the
+// pre-inline passes on up to par workers, then verifies the module.
+func frontEnd(name, src string, reg *obs.Registry, par int) (*ir.Module, error) {
 	stop := reg.StartSpan("frontend.parse")
 	file, err := parser.Parse(name, src)
 	stop()
@@ -283,11 +308,21 @@ func CompileWithObs(name, src string, reg *obs.Registry) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lower %s: %w", name, err)
 	}
-	opt.PreInlineParallelObs(mod, 0, reg)
+	optimize(reg, "preinline", mod, par, opt.PreInlineParallel)
 	if err := mod.Verify(); err != nil {
 		return nil, fmt.Errorf("pre-inline optimization broke %s: %w", name, err)
 	}
-	return &Program{Module: mod, Original: mod.Clone(), Obs: reg, name: name}, nil
+	return mod, nil
+}
+
+// optimize runs one opt pipeline over mod on up to par workers, under
+// the "opt.<pass>" span, and counts the functions it processed.
+func optimize(reg *obs.Registry, pass string, mod *ir.Module, par int, run func(*ir.Module, int)) {
+	defer reg.StartSpan("opt." + pass)()
+	run(mod, par)
+	reg.Counter("opt_functions_total",
+		"Functions processed by the optimizer, by pass.",
+		"pass", pass).Add(int64(len(mod.Funcs)))
 }
 
 // Unit is one separately compiled translation unit, ready for linking.
@@ -302,21 +337,9 @@ type Unit struct {
 // whole program, a unit need not define main and may reference functions
 // and variables defined elsewhere via extern declarations.
 func CompileUnit(name, src string) (*Unit, error) {
-	file, err := parser.Parse(name, src)
+	mod, err := frontEnd(name, src, nil, 0)
 	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", name, err)
-	}
-	prog, err := sema.Check(file)
-	if err != nil {
-		return nil, fmt.Errorf("check %s: %w", name, err)
-	}
-	mod, err := irgen.Generate(prog)
-	if err != nil {
-		return nil, fmt.Errorf("lower %s: %w", name, err)
-	}
-	opt.PreInline(mod)
-	if err := mod.Verify(); err != nil {
-		return nil, fmt.Errorf("pre-inline optimization broke %s: %w", name, err)
+		return nil, err
 	}
 	return &Unit{Name: name, Module: mod}, nil
 }
@@ -334,36 +357,11 @@ type UnitSource struct {
 // input order, so any worker count produces identical results and
 // identical error text.
 func CompileUnits(par int, sources ...UnitSource) ([]*Unit, error) {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(sources) {
-		par = len(sources)
-	}
 	units := make([]*Unit, len(sources))
 	errs := make([]error, len(sources))
-	if par <= 1 {
-		for i, s := range sources {
-			units[i], errs[i] = CompileUnit(s.Name, s.Src)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(sources) {
-						return
-					}
-					units[i], errs[i] = CompileUnit(sources[i].Name, sources[i].Src)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	pool.Run(len(sources), par, func(_, i int) {
+		units[i], errs[i] = CompileUnit(sources[i].Name, sources[i].Src)
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -371,35 +369,25 @@ func CompileUnits(par int, sources ...UnitSource) ([]*Unit, error) {
 }
 
 // CompileAndLink is the parallel multi-unit front end: it compiles the
-// units concurrently on up to par workers (0 = all cores) and links them
-// into a runnable Program, producing the same module as compiling each
-// unit serially and calling LinkUnits.
-func CompileAndLink(name string, par int, sources ...UnitSource) (*Program, error) {
-	units, err := CompileUnits(par, sources...)
-	if err != nil {
-		return nil, err
-	}
-	return LinkUnits(name, units...)
-}
-
-// CompileAndLinkObs is CompileAndLink with phase accounting: unit
-// compilation runs under a "frontend" span, linking under a "link"
-// span, and the returned Program carries the registry so later stages
-// report into it too.
-func CompileAndLinkObs(name string, par int, reg *obs.Registry, sources ...UnitSource) (*Program, error) {
-	stop := reg.StartSpan("frontend")
-	units, err := CompileUnits(par, sources...)
+// units concurrently on up to o.Parallelism workers and links them into
+// a runnable Program, producing the same module as compiling each unit
+// serially and calling LinkUnits. Unit compilation runs under a
+// "frontend" span in o.Obs and linking under a "link" span, and the
+// returned Program carries o.
+func CompileAndLink(name string, o Options, sources ...UnitSource) (*Program, error) {
+	stop := o.Obs.StartSpan("frontend")
+	units, err := CompileUnits(o.Parallelism, sources...)
 	stop()
 	if err != nil {
 		return nil, err
 	}
-	stop = reg.StartSpan("link")
+	stop = o.Obs.StartSpan("link")
 	p, err := LinkUnits(name, units...)
 	stop()
 	if err != nil {
 		return nil, err
 	}
-	p.Obs = reg
+	p.Options = o
 	return p, nil
 }
 
@@ -531,7 +519,7 @@ func (w *profileWorker) run(in Input) (*RunStats, error) {
 	return w.m.Run()
 }
 
-// profileModule fans the profiling runs out over a bounded worker pool.
+// profileModule fans the profiling runs out over the shared worker pool.
 // Each worker translates the module once and reuses its Machine across
 // runs; Profile.Add is sums-and-max, so merging in input order makes the
 // result bit-identical to a serial pass regardless of worker count.
@@ -541,13 +529,6 @@ func (p *Program) profileModule(mod *ir.Module, inputs []Input) (*Profile, error
 	if len(inputs) == 0 {
 		inputs = []Input{{}}
 	}
-	par := p.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(inputs) {
-		par = len(inputs)
-	}
 	prof := profile.NewProfile()
 	if p.ProfileMode == interp.ProfileSampled {
 		if k := p.SampleRate; k > 1 {
@@ -556,40 +537,17 @@ func (p *Program) profileModule(mod *ir.Module, inputs []Input) (*Profile, error
 			prof.SampleRate = interp.DefaultSampleRate
 		}
 	}
-	if par <= 1 {
-		pw := &profileWorker{p: p, mod: mod}
-		for i, in := range inputs {
-			stop := reg.StartSpanWorker("profile.run", 0)
-			st, err := pw.run(in)
-			stop()
-			if err != nil {
-				return nil, fmt.Errorf("profiling run %d: %w", i+1, err)
-			}
-			prof.Add(st)
-		}
-		return prof, nil
-	}
 	stats := make([]*RunStats, len(inputs))
 	errs := make([]error, len(inputs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			pw := &profileWorker{p: p, mod: mod, worker: worker}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(inputs) {
-					return
-				}
-				stop := reg.StartSpanWorker("profile.run", worker)
-				stats[i], errs[i] = pw.run(inputs[i])
-				stop()
-			}
-		}(w)
-	}
-	wg.Wait()
+	workers := make([]*profileWorker, pool.Size(p.Parallelism))
+	pool.Run(len(inputs), p.Parallelism, func(w, i int) {
+		if workers[w] == nil {
+			workers[w] = &profileWorker{p: p, mod: mod, worker: w}
+		}
+		stop := reg.StartSpanWorker("profile.run", w)
+		stats[i], errs[i] = workers[w].run(inputs[i])
+		stop()
+	})
 	for i := range inputs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("profiling run %d: %w", i+1, errs[i])
@@ -614,7 +572,7 @@ func (p *Program) CallGraph(prof *Profile) *Graph {
 // count.
 func (p *Program) Inline(prof *Profile, params Params) (*Result, error) {
 	if params.Parallelism == 0 {
-		params.Parallelism = p.workers()
+		params.Parallelism = pool.Size(p.Parallelism)
 	}
 	if params.Obs == nil {
 		params.Obs = p.Obs
@@ -632,7 +590,7 @@ func (p *Program) Inline(prof *Profile, params Params) (*Result, error) {
 // concurrently on up to Parallelism workers; they are function-local, so
 // the resulting module is identical at any worker count.
 func (p *Program) Optimize() error {
-	opt.PostInlineParallelObs(p.Module, p.workers(), p.Obs)
+	optimize(p.Obs, "postinline", p.Module, p.Parallelism, opt.PostInlineParallel)
 	return p.Module.Verify()
 }
 
@@ -670,29 +628,29 @@ func DefaultICacheConfig() ICacheConfig { return icache.DefaultConfig() }
 // reproducing the paper's conclusion-section observation that inline
 // expansion reduces mapping conflicts despite larger static code.
 func (p *Program) SimulateICache(in Input, cfg ICacheConfig) (ICacheStats, error) {
-	return simulateICache(p.Module, in, cfg, p.Obs, p.Engine)
+	return p.simulateICache(p.Module, in, cfg)
 }
 
 // SimulateICacheOriginal simulates the cache over the pristine module.
 func (p *Program) SimulateICacheOriginal(in Input, cfg ICacheConfig) (ICacheStats, error) {
-	return simulateICache(p.Original, in, cfg, p.Obs, p.Engine)
+	return p.simulateICache(p.Original, in, cfg)
 }
 
-func simulateICache(mod *ir.Module, in Input, cfg ICacheConfig, reg *obs.Registry, engine string) (ICacheStats, error) {
-	defer reg.StartSpan("icache.simulate")()
+func (p *Program) simulateICache(mod *ir.Module, in Input, cfg ICacheConfig) (ICacheStats, error) {
+	defer p.Obs.StartSpan("icache.simulate")()
 	cache, err := icache.New(cfg)
 	if err != nil {
 		return ICacheStats{}, err
 	}
 	tracer := &icache.Tracer{Cache: cache, Layout: icache.NewLayout(mod)}
 	env := newEnv(in)
-	m, err := interp.NewMachine(mod, env, interp.Options{StackSize: in.StackSize, Trace: tracer.Step, Engine: engine})
+	m, err := interp.NewMachine(mod, env, interp.Options{StackSize: in.StackSize, Trace: tracer.Step, Engine: p.Engine})
 	if err != nil {
 		return ICacheStats{}, err
 	}
 	if _, err := m.Run(); err != nil {
 		return ICacheStats{}, err
 	}
-	cache.Stats.RecordTo(reg, cfg)
+	cache.Stats.RecordTo(p.Obs, cfg)
 	return cache.Stats, nil
 }

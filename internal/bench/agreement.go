@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"inlinec"
 	"inlinec/internal/obs"
 )
 
@@ -32,21 +33,18 @@ func (r *AgreementResult) String() string {
 
 // RunAgreement compiles the benchmark twice, inlines one copy with
 // measured weights and the other with predicted weights (same expansion
-// parameters), and diffs the decision traces. The comparison lands in
-// reg's inline_decisions_agree_total{mode="predicted"} metrics when a
-// registry is supplied.
-func RunAgreement(b *Benchmark, cfg Config, reg *obs.Registry) (*AgreementResult, error) {
+// parameters), and diffs the decision traces.
+func RunAgreement(b *Benchmark, cfg Config) (*AgreementResult, error) {
 	inputs := b.Inputs
 	if cfg.MaxRuns > 0 && len(inputs) > cfg.MaxRuns {
 		inputs = inputs[:cfg.MaxRuns]
 	}
 
-	mp, err := b.Compile()
+	o := inlinec.Options{Parallelism: cfg.Parallelism, Engine: cfg.Engine}
+	mp, err := b.compileWith(o)
 	if err != nil {
 		return nil, err
 	}
-	mp.Parallelism = cfg.Parallelism
-	mp.Engine = cfg.Engine
 	measured, err := mp.ProfileInputs(inputs...)
 	if err != nil {
 		return nil, fmt.Errorf("%s: profiling: %w", b.Name, err)
@@ -59,18 +57,15 @@ func RunAgreement(b *Benchmark, cfg Config, reg *obs.Registry) (*AgreementResult
 	// A fresh compile for the predicted leg: Inline rewrites the module
 	// in place, and the diff is only meaningful over identical pre-inline
 	// modules (compilation is deterministic, so the site ids align).
-	pp, err := b.CompileObs(reg)
+	pp, err := b.compileWith(o)
 	if err != nil {
 		return nil, err
 	}
-	pp.Parallelism = cfg.Parallelism
-	pp.Engine = cfg.Engine
 	pres, err := pp.Inline(pp.PredictProfile(), cfg.Inline)
 	if err != nil {
 		return nil, fmt.Errorf("%s: predicted-mode inline: %w", b.Name, err)
 	}
 
 	stats := obs.CompareInlineTraces(mres.Trace, pres.Trace)
-	reg.RecordAgreement("predicted", stats)
 	return &AgreementResult{Name: b.Name, ScorePct: stats.ScorePct(), AgreementStats: stats}, nil
 }

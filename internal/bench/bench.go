@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"inlinec"
-	"inlinec/internal/obs"
 )
 
 //go:embed progs/*.c
@@ -43,14 +42,12 @@ func (b *Benchmark) CLines() int {
 	return n
 }
 
-// Compile builds the benchmark program.
-func (b *Benchmark) Compile() (*inlinec.Program, error) { return b.CompileObs(nil) }
+// Compile builds the benchmark program under the default options.
+func (b *Benchmark) Compile() (*inlinec.Program, error) { return b.compileWith(inlinec.Options{}) }
 
-// CompileObs builds the benchmark program with an observability registry
-// attached, so the front-end phases land in the same phase breakdown as
-// the rest of the methodology.
-func (b *Benchmark) CompileObs(reg *obs.Registry) (*inlinec.Program, error) {
-	p, err := inlinec.CompileWithObs(b.Name+".c", b.Source, reg)
+// compileWith builds the benchmark program under o.
+func (b *Benchmark) compileWith(o inlinec.Options) (*inlinec.Program, error) {
+	p, err := inlinec.CompileWith(o, b.Name+".c", b.Source)
 	if err != nil {
 		return nil, fmt.Errorf("benchmark %s: %w", b.Name, err)
 	}

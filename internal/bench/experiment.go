@@ -1,11 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"inlinec"
@@ -13,6 +12,7 @@ import (
 	"inlinec/internal/inline"
 	"inlinec/internal/interp"
 	"inlinec/internal/obs"
+	"inlinec/internal/pool"
 )
 
 // Config selects the experiment parameters. Zero values take the paper's
@@ -37,27 +37,24 @@ type Config struct {
 	// empty, or "switch"). Both engines produce identical tables; the
 	// wall-clock columns are what differ.
 	Engine string
-	// ProfileMode selects the profiling instrumentation mode ("full", the
-	// default when empty, "minimal", or "sampled"). Full and minimal
-	// produce identical tables; sampled tables are approximate. The
+	// ProfileMode is a -profile-mode value, split by
+	// inlinec.ParseProfileMode. The instrumentation modes ("full", the
+	// default when empty, "minimal", or "sampled") select how the
+	// measured weights are collected: full and minimal produce identical
+	// tables, sampled tables are approximate, and the
 	// ProfileEvents/WeightErrPct columns record the overhead and accuracy
-	// trade-off. The special mode "predicted" feeds the inline expander
-	// synthesized weights (zero profiling runs behind its decisions) while
-	// the before/after measurements still run fully instrumented — the
+	// trade-off. "predicted" feeds the inline expander synthesized
+	// weights (zero profiling runs behind its decisions) while the
+	// before/after measurements still run fully instrumented — the
 	// configuration the predictor's compile-time cost is tracked under;
 	// its WeightErrPct column reports the predicted-vs-measured total
-	// call-count error.
+	// call-count error. "hybrid" is rejected: the suite has no profile
+	// database to draw on.
 	ProfileMode string
 	// SampleRate is the 1-in-k rate for the sampled mode (0 = the
 	// interpreter's default rate).
 	SampleRate int
 }
-
-// ModePredicted is the Config.ProfileMode value that drives the inline
-// expander with synthesized weights (internal/predict) instead of the
-// measured profile. It is a bench-level mode, not an interpreter
-// instrumentation mode: measurements still run ProfileFull.
-const ModePredicted = "predicted"
 
 // DefaultConfig mirrors the paper's setup.
 func DefaultConfig() Config {
@@ -74,8 +71,9 @@ type BenchResult struct {
 	// Engine is the interpreter engine the dynamic measurements ran on.
 	Engine string
 	// ProfileMode is the profiling instrumentation mode the measurements
-	// used ("full", "minimal", or "sampled"), with SampleRate the
-	// effective 1-in-k rate when sampled (0 otherwise).
+	// used ("full", "minimal", or "sampled"), or "predicted" when the
+	// expander's weights were synthesized, with SampleRate the effective
+	// 1-in-k rate when sampled (0 otherwise).
 	ProfileMode string
 	SampleRate  int
 	// ProfileEvents totals the profiling counter increments across both
@@ -125,20 +123,24 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 	if cfg.MaxRuns > 0 && len(inputs) > cfg.MaxRuns {
 		inputs = inputs[:cfg.MaxRuns]
 	}
+	mode, weights, err := inlinec.ParseProfileMode(cfg.ProfileMode)
+	if err == nil && weights == inlinec.WeightsHybrid {
+		err = errors.New("hybrid weights need a profile database")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("benchmark %s: %w", b.Name, err)
+	}
 	// A per-benchmark registry keeps the phase breakdown isolated from
 	// benchmarks running concurrently in RunAll.
-	p, err := b.CompileObs(obs.NewRegistry())
+	p, err := b.compileWith(inlinec.Options{
+		Parallelism: cfg.Parallelism,
+		Obs:         obs.NewRegistry(),
+		Engine:      cfg.Engine,
+		ProfileMode: mode,
+		SampleRate:  cfg.SampleRate,
+	})
 	if err != nil {
 		return nil, err
-	}
-	predicted := cfg.ProfileMode == ModePredicted
-	p.Parallelism = cfg.Parallelism
-	p.Engine = cfg.Engine
-	if !predicted {
-		// Predicted mode measures with full instrumentation; only the
-		// expander's weights come from the predictor.
-		p.ProfileMode = cfg.ProfileMode
-		p.SampleRate = cfg.SampleRate
 	}
 	before, err := p.ProfileInputs(inputs...)
 	if err != nil {
@@ -148,10 +150,6 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 	engine := cfg.Engine
 	if engine == "" {
 		engine = interp.EngineBytecode
-	}
-	mode := cfg.ProfileMode
-	if mode == "" {
-		mode = interp.ProfileFull
 	}
 	rate := 0
 	if mode == interp.ProfileSampled {
@@ -172,7 +170,8 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 		AvgControl:  before.AvgControl(),
 	}
 	guide := before
-	if predicted {
+	if weights == inlinec.WeightsPredicted {
+		r.ProfileMode = weights
 		guide = p.PredictProfile()
 		// Accuracy column: how far the synthesized calls-per-run total is
 		// from the measured one.
@@ -253,52 +252,17 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 // called with each benchmark name before it runs.
 func RunAll(cfg Config, progress func(string)) ([]*BenchResult, error) {
 	suite := Suite()
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(suite) {
-		par = len(suite)
-	}
-	if par <= 1 {
-		var out []*BenchResult
-		for _, b := range suite {
-			if progress != nil {
-				progress(b.Name)
-			}
-			r, err := RunOne(b, cfg)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, r)
-		}
-		return out, nil
-	}
-
 	results := make([]*BenchResult, len(suite))
 	errs := make([]error, len(suite))
 	var mu sync.Mutex // serializes the progress callback
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(suite) {
-					return
-				}
-				if progress != nil {
-					mu.Lock()
-					progress(suite[i].Name)
-					mu.Unlock()
-				}
-				results[i], errs[i] = RunOne(suite[i], cfg)
-			}
-		}()
-	}
-	wg.Wait()
+	pool.Run(len(suite), cfg.Parallelism, func(_, i int) {
+		if progress != nil {
+			mu.Lock()
+			progress(suite[i].Name)
+			mu.Unlock()
+		}
+		results[i], errs[i] = RunOne(suite[i], cfg)
+	})
 	var out []*BenchResult
 	for i := range suite {
 		if errs[i] != nil {

@@ -30,7 +30,7 @@ func build(t *testing.T, src string) (*ir.Module, *callgraph.Graph, *profile.Pro
 	if err != nil {
 		t.Fatalf("irgen: %v", err)
 	}
-	opt.PreInline(mod)
+	opt.PreInlineParallel(mod, 0)
 	m, err := interp.NewMachine(mod, interp.NewEnv(), interp.Options{})
 	if err != nil {
 		t.Fatalf("machine: %v", err)

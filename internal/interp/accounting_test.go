@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func lowerOpt(t *testing.T, src string) *ir.Module {
 	t.Helper()
 	mod := lowerSrc(t, src)
-	opt.PreInline(mod)
+	opt.PreInlineParallel(mod, 0)
 	return mod
 }
 

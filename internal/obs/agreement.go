@@ -122,22 +122,6 @@ func CompareInlineTraces(measured, predicted []ArcEvent) *AgreementStats {
 	return s
 }
 
-// RecordAgreement publishes the comparison as metrics:
-// inline_decisions_agree_total{mode} and inline_decisions_total{mode},
-// where mode names the weight source compared against measured mode
-// ("predicted" or "hybrid"). Nil-registry safe.
-func (r *Registry) RecordAgreement(mode string, s *AgreementStats) {
-	if r == nil {
-		return
-	}
-	r.Counter("inline_decisions_agree_total",
-		"arcs where this profile mode's inlining decision matched measured mode",
-		"mode", mode).Add(int64(s.Agree))
-	r.Counter("inline_decisions_total",
-		"arcs compared between this profile mode and measured mode",
-		"mode", mode).Add(int64(s.Arcs))
-}
-
 // FormatAgreementReport renders the agreement diff for humans:
 // the score, the per-decision agreement mix, and every disagreeing arc.
 // Deterministic — byte-identical for identical traces.

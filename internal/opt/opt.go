@@ -8,25 +8,17 @@
 package opt
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"inlinec/internal/callgraph"
 	"inlinec/internal/ir"
-	"inlinec/internal/obs"
+	"inlinec/internal/pool"
 )
 
-// PreInline runs the paper's pre-expansion pipeline on every function,
-// fanning the functions out over every core (see PreInlineParallel).
-func PreInline(mod *ir.Module) { PreInlineParallel(mod, 0) }
-
-// PreInlineParallel runs the pre-expansion pipeline — constant folding
-// then jump optimization, to a local fixed point — on up to par workers
-// (0 = all cores, 1 = serial). Each pass reads and writes one function
-// only, so any worker count produces an identical module.
+// PreInlineParallel runs the paper's pre-expansion pipeline — constant
+// folding then jump optimization, to a local fixed point — on up to par
+// workers (0 = all cores, 1 = serial). Each pass reads and writes one
+// function only, so any worker count produces an identical module.
 func PreInlineParallel(mod *ir.Module, par int) {
-	forEachFunc(mod, par, preInlineFunc)
+	pool.Run(len(mod.Funcs), par, func(_, i int) { preInlineFunc(mod.Funcs[i]) })
 }
 
 func preInlineFunc(f *ir.Func) {
@@ -39,10 +31,6 @@ func preInlineFunc(f *ir.Func) {
 	}
 }
 
-// PostInline runs the heavier post-expansion cleanup on every function,
-// fanning the functions out over every core (see PostInlineParallel).
-func PostInline(mod *ir.Module) { PostInlineParallel(mod, 0) }
-
 // PostInlineParallel runs the cleanup the paper left to future
 // measurements — copy propagation, constant folding, dead code
 // elimination, and jump optimization, iterated to a fixed point per
@@ -50,29 +38,7 @@ func PostInline(mod *ir.Module) { PostInlineParallel(mod, 0) }
 // passes are function-local, so any worker count produces an identical
 // module.
 func PostInlineParallel(mod *ir.Module, par int) {
-	forEachFunc(mod, par, postInlineFunc)
-}
-
-// PreInlineParallelObs is PreInlineParallel with phase accounting: the
-// pass runs under an "opt.preinline" span and the function count feeds
-// the opt_functions_total counter. Metrics never influence the passes,
-// so the resulting module is identical to the uninstrumented variant.
-func PreInlineParallelObs(mod *ir.Module, par int, reg *obs.Registry) {
-	defer reg.StartSpan("opt.preinline")()
-	forEachFunc(mod, par, preInlineFunc)
-	reg.Counter("opt_functions_total",
-		"Functions processed by the optimizer, by pass.",
-		"pass", "preinline").Add(int64(len(mod.Funcs)))
-}
-
-// PostInlineParallelObs is PostInlineParallel under an "opt.postinline"
-// span, with the same accounting as PreInlineParallelObs.
-func PostInlineParallelObs(mod *ir.Module, par int, reg *obs.Registry) {
-	defer reg.StartSpan("opt.postinline")()
-	forEachFunc(mod, par, postInlineFunc)
-	reg.Counter("opt_functions_total",
-		"Functions processed by the optimizer, by pass.",
-		"pass", "postinline").Add(int64(len(mod.Funcs)))
+	pool.Run(len(mod.Funcs), par, func(_, i int) { postInlineFunc(mod.Funcs[i]) })
 }
 
 func postInlineFunc(f *ir.Func) {
@@ -85,42 +51,6 @@ func postInlineFunc(f *ir.Func) {
 			break
 		}
 	}
-}
-
-// forEachFunc applies pass to every function of mod over a bounded
-// worker pool (par <= 0 uses every core). Work is handed out through an
-// atomic cursor — the passes never read other functions, so scheduling
-// order cannot affect the result.
-func forEachFunc(mod *ir.Module, par int, pass func(*ir.Func)) {
-	funcs := mod.Funcs
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(funcs) {
-		par = len(funcs)
-	}
-	if par <= 1 {
-		for _, f := range funcs {
-			pass(f)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(funcs) {
-					return
-				}
-				pass(funcs[i])
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ----------------------------------------------------------- const folding

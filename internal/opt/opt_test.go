@@ -251,7 +251,7 @@ int main() {
 `
 	mod := compile(t, src)
 	want := run(t, mod)
-	PostInline(mod)
+	PostInlineParallel(mod, 0)
 	if err := mod.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -285,14 +285,14 @@ int main() {
 `, seed*7+3, seed+1, seed%5+1, seed*13, seed)
 		mod := compile(t, src)
 		want := run(t, mod)
-		PreInline(mod)
+		PreInlineParallel(mod, 0)
 		if err := mod.Verify(); err != nil {
 			t.Fatalf("seed %d: PreInline verify: %v", seed, err)
 		}
 		if got := run(t, mod); got != want {
 			t.Fatalf("seed %d: PreInline changed output %q -> %q", seed, want, got)
 		}
-		PostInline(mod)
+		PostInlineParallel(mod, 0)
 		if err := mod.Verify(); err != nil {
 			t.Fatalf("seed %d: PostInline verify: %v", seed, err)
 		}

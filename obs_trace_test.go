@@ -103,39 +103,62 @@ func TestInlineTraceRoundTrip(t *testing.T) {
 }
 
 // TestObsDoesNotPerturbCompilation: attaching a registry is observation
-// only — the compiled and expanded module is byte-identical with and
-// without one.
+// only — the compiled (or separately compiled and linked) and expanded
+// module is byte-identical with and without one, and the registry sees
+// every stage of the pipeline.
 func TestObsDoesNotPerturbCompilation(t *testing.T) {
 	src := testgen.Generate(5, testgen.Options{Funcs: 9, Pointers: true})
-	build := func(reg *obs.Registry) string {
-		p, err := CompileWithObs("d.c", src, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof, err := p.ProfileInputs(Input{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Inline(prof, DefaultParams()); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Optimize(); err != nil {
-			t.Fatal(err)
-		}
-		return p.Module.String()
+	cases := []struct {
+		name    string
+		compile func(Options) (*Program, error)
+		phases  []string
+	}{
+		{
+			name:    "single",
+			compile: func(o Options) (*Program, error) { return CompileWith(o, "d.c", src) },
+			phases:  []string{"frontend.parse", "opt.preinline", "profile", "inline.select", "opt.postinline"},
+		},
+		{
+			name: "linked",
+			compile: func(o Options) (*Program, error) {
+				return CompileAndLink("prog", o, UnitSource{"lib.c", libSrc}, UnitSource{"app.c", appSrc})
+			},
+			phases: []string{"frontend", "link", "profile", "inline.select", "opt.postinline"},
+		},
 	}
-	bare := build(nil)
-	reg := obs.NewRegistry()
-	observed := build(reg)
-	if bare != observed {
-		t.Error("module differs with a registry attached")
-	}
-	// And the registry actually saw the pipeline.
-	phases := reg.PhaseSeconds()
-	for _, want := range []string{"frontend.parse", "profile", "inline.select", "opt.postinline"} {
-		if _, ok := phases[want]; !ok {
-			t.Errorf("phase %q missing from registry (have %v)", want, phases)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			build := func(reg *obs.Registry) string {
+				p, err := c.compile(Options{Obs: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				prof, err := p.ProfileInputs(Input{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Inline(prof, DefaultParams()); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Optimize(); err != nil {
+					t.Fatal(err)
+				}
+				return p.Module.String()
+			}
+			bare := build(nil)
+			reg := obs.NewRegistry()
+			observed := build(reg)
+			if bare != observed {
+				t.Error("module differs with a registry attached")
+			}
+			// And the registry actually saw the pipeline.
+			phases := reg.PhaseSeconds()
+			for _, want := range c.phases {
+				if _, ok := phases[want]; !ok {
+					t.Errorf("phase %q missing from registry (have %v)", want, phases)
+				}
+			}
+		})
 	}
 }
 

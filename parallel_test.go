@@ -246,7 +246,7 @@ int main() {
 // does, at worker counts {1, 2, 8}, and behave identically when run.
 func TestParallelCompileUnitsDeterminism(t *testing.T) {
 	linkAt := func(par int) (string, string) {
-		p, err := inlinec.CompileAndLink("prog", par, unitSources...)
+		p, err := inlinec.CompileAndLink("prog", inlinec.Options{Parallelism: par}, unitSources...)
 		if err != nil {
 			t.Fatalf("compile+link (par %d): %v", par, err)
 		}
