@@ -95,8 +95,9 @@ func NewPlan(entities []string, root string, sites []CoverageSite, choose func(e
 		inSites[s.Callee] = append(inSites[s.Callee], s.ID)
 	}
 	p := &CoveragePlan{
-		SiteCounted:  make(map[int]bool),
+		SiteCounted:  make(map[int]bool, len(sites)-ptrSites),
 		EntryCounted: make(map[string]bool, len(entities)),
+		Steps:        make([]ReconStep, 0, len(entities)),
 	}
 	for _, s := range sites {
 		if s.Callee != "" {
@@ -180,13 +181,6 @@ func ModuleCoverage(mod *ir.Module) (entities []string, root string, sites []Cov
 	}
 	sort.Strings(externs)
 	return append(entities, externs...), "main", sites
-}
-
-// MinimalPlan is the module-level minimum coverage plan the interpreter's
-// minimal and sampled profile modes consume.
-func MinimalPlan(mod *ir.Module) *CoveragePlan {
-	entities, root, sites := ModuleCoverage(mod)
-	return MinimalPlanFor(entities, root, sites)
 }
 
 // Counts holds raw observed counters for map-based reconstruction (the

@@ -76,8 +76,9 @@ func TestBudgetSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, bf := range m.bfuncs {
-				noteCharges(bf, seen)
+			m.TranslateAll(false)
+			for i := range m.bfuncs {
+				noteCharges(&m.bfuncs[i], seen)
 			}
 			_, full, _ := runOn(t, mod, "", Options{Engine: EngineSwitch})
 			for maxIL := int64(-1); maxIL <= full.IL+1; maxIL++ {
@@ -155,7 +156,8 @@ func TestWcMainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.bfuncs["main"].disasm()
+	m.TranslateAll(false)
+	got := m.bfuncs[m.ids["main"]].disasm()
 	golden := filepath.Join("testdata", "wc_main.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

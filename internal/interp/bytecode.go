@@ -7,13 +7,14 @@ import (
 	"inlinec/internal/ir"
 )
 
-// This file defines the load-time bytecode the default engine executes.
-// Translation (translate.go) compiles each ir.Func into a dense array of
-// fixed-width bcInstr with every name resolved up front: operands become
-// register indices (constants get pool registers preloaded at function
-// entry, so the dispatch loop never inspects an operand kind), branch
-// targets become bytecode PCs, call sites become direct *bcFunc/extern
-// pointers, and global/function addresses become immediates.
+// This file defines the bytecode the default engine executes.
+// Translation (translate.go) compiles each ir.Func, on its first
+// activation, into a dense array of fixed-width bcInstr with every name
+// resolved before it runs: operands become register indices (constants
+// get pool registers preloaded at function entry, so the dispatch loop
+// never inspects an operand kind), branch targets become bytecode PCs,
+// call sites become direct *bcFunc/extern pointers, and global/function
+// addresses become immediates.
 //
 // One bytecode instruction stands for a run of consecutive IL
 // instructions, its components: n of them, starting at origPC. Every
@@ -163,15 +164,17 @@ type bcCallInfo struct {
 }
 
 // ptrTarget is one entry of the dense function-pointer table indexed by
-// (address - FuncBase) / FuncStride, replacing the byAddr/extByAddr map
-// lookups on the indirect-call path.
+// (address - FuncBase) / FuncStride: a user function or a declared
+// extern.
 type ptrTarget struct {
 	user *bcFunc
 	ext  ExternImpl
 	id   int32 // dense function id (meaningful for extern entries)
 }
 
-// bcFunc is one translated function.
+// bcFunc is one function of the bytecode engine. Everything but fn and
+// id is filled in by its translation, on its first activation; code is
+// nil until then.
 type bcFunc struct {
 	fn      *ir.Func
 	id      int

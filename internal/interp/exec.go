@@ -466,12 +466,16 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 // pooled frame storage, zeroed registers with the constant pool copied
 // into the tail, a zeroed stack frame, and parameters stored into their
 // slots. Counter updates (funcCounts, MaxStack) are identical to push.
+// The first activation of a function translates it.
 func (m *Machine) pushBC(depth int, bf *bcFunc, callArgs []int64, retDst int32, sp *int64, st *profile.RunStats) (*bcFrame, error) {
 	fn := bf.fn
 	base := (*sp + 15) &^ 15
 	if base+int64(fn.FrameSize) > int64(m.mem.StackSize()) {
 		return nil, fmt.Errorf("control stack overflow entering %s (frame %d bytes, used %d of %d)",
 			fn.Name, fn.FrameSize, base, m.mem.StackSize())
+	}
+	if bf.code == nil {
+		m.translate(bf)
 	}
 	if depth == len(m.bframes) {
 		m.bframes = append(m.bframes, bcFrame{})

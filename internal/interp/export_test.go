@@ -6,10 +6,37 @@ import (
 	"inlinec/internal/ir"
 )
 
-// CheckCharges translates mod for the bytecode engine and checks the
-// accounting contract of every function: the instructions' component
-// ranges cover each non-label IL instruction exactly once, in order,
-// and every component that is not an instruction's last (or that
+// TranslateAll translates every function not yet translated, as if each
+// were entered, in module order or in reverse. Tests use it to reach the
+// functions a run never enters.
+func (m *Machine) TranslateAll(reverse bool) {
+	for k := range m.bfuncs {
+		i := k
+		if reverse {
+			i = len(m.bfuncs) - 1 - k
+		}
+		if m.bfuncs[i].code == nil {
+			m.translate(&m.bfuncs[i])
+		}
+	}
+}
+
+// Translated returns, per function in module order, the disassembly of
+// its translation, or "" if it has none yet.
+func (m *Machine) Translated() []string {
+	out := make([]string, len(m.bfuncs))
+	for i := range m.bfuncs {
+		if m.bfuncs[i].code != nil {
+			out[i] = m.bfuncs[i].disasm()
+		}
+	}
+	return out
+}
+
+// CheckCharges translates every function of mod for the bytecode engine
+// and checks the accounting contract of each: the instructions'
+// component ranges cover each non-label IL instruction exactly once, in
+// order, and every component that is not an instruction's last (or that
 // belongs to a bcNop, which executes nothing) is pure and cannot fault.
 // It returns the first violation.
 func CheckCharges(mod *ir.Module) error {
@@ -17,9 +44,10 @@ func CheckCharges(mod *ir.Module) error {
 	if err != nil {
 		return err
 	}
-	for _, fn := range mod.Funcs {
-		if err := checkCharges(mod, m.bfuncs[fn.Name]); err != nil {
-			return fmt.Errorf("func %s: %w", fn.Name, err)
+	m.TranslateAll(false)
+	for i := range m.bfuncs {
+		if err := checkCharges(mod, &m.bfuncs[i]); err != nil {
+			return fmt.Errorf("func %s: %w", m.bfuncs[i].fn.Name, err)
 		}
 	}
 	return nil

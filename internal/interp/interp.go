@@ -66,10 +66,11 @@ type Options struct {
 	SampleRate int
 }
 
-// compiledFunc caches per-function interpretation tables. All name and
-// label resolution happens once at load time so that the dispatch loop
-// never consults a map: branch targets become pc indices, and static
-// call sites become direct callee pointers.
+// compiledFunc holds the switch engine's per-function tables. All name
+// and label resolution happens once at load time so that its dispatch
+// loop never consults a map: branch targets become pc indices, and static
+// call sites become direct callee pointers. The bytecode engine builds
+// neither table; its translator resolves both itself (translate.go).
 type compiledFunc struct {
 	fn *ir.Func
 	id int // function table index; address = FuncBase + id*FuncStride
@@ -87,35 +88,46 @@ type callTarget struct {
 	id   int // dense function id (extern ids follow user function ids)
 }
 
-// externTarget describes one extern for pointer-call resolution.
-type externTarget struct {
-	name string
-	impl ExternImpl
-	id   int
-}
-
 // Machine executes one IL module against an Env, producing RunStats.
 // A Machine is not safe for concurrent use; run one Machine per
 // goroutine. A single Machine may Run many times — globals, frames, and
 // counters are reset between runs — so profiling reuses one Machine per
-// worker instead of rebuilding tables per run. The stack and heap are
-// not the Machine's own: each run borrows a zeroed pair from a shared
-// pool and returns it on exit, so even a Machine built for a single run
-// allocates no segments in steady state.
+// worker instead of rebuilding tables per run. On the bytecode engine a
+// function is translated on its first activation and kept for the
+// Machine's later runs, so a run pays only for the code it executes. The
+// stack and heap are not the Machine's own: each run borrows a zeroed
+// pair from a shared pool and returns it on exit, so even a Machine built
+// for a single run allocates no segments in steady state.
 type Machine struct {
 	Mod *ir.Module
 	Env *Env
 
-	mem        *Memory
-	funcs      map[string]*compiledFunc
-	byAddr     map[int64]*compiledFunc
-	extByAddr  map[int64]*externTarget
-	addrByName map[string]int64
+	mem *Memory
 
-	// engine is the resolved Options.Engine; the bytecode tables below
-	// are populated only for EngineBytecode.
+	// ids maps a name to the dense function id a direct call to it
+	// resolves to: user functions first (the last of a duplicated name),
+	// then declared externs no user function shadows (the first of a
+	// duplicated name), then externs that calls name without declaring.
+	// Ids below nAddr — user functions and declared externs — have the
+	// runtime address FuncBase + id*FuncStride. impls holds each
+	// extern's implementation by dense id (nil for user functions).
+	ids   map[string]int32
+	nAddr int
+	impls []ExternImpl
+
+	// globalAddr and globalsLen are the globals layout (layoutGlobals),
+	// shared by the translator and every run's globals image.
+	globalAddr map[string]int64
+	globalsLen int
+
+	// engine is the resolved Options.Engine. funcs (switch engine) or
+	// bfuncs (bytecode engine) holds one entry per user function, indexed
+	// by dense id; a bfuncs entry is translated on its first activation
+	// (pushBC). ptrTargets is the bytecode engine's function-pointer
+	// table over user functions and declared externs.
 	engine     string
-	bfuncs     map[string]*bcFunc
+	funcs      []compiledFunc
+	bfuncs     []bcFunc
 	ptrTargets []ptrTarget
 
 	// funcNames maps a dense function id (user functions first, then
@@ -174,6 +186,15 @@ type Machine struct {
 // NewMachine loads the module. The same machine may Run multiple times,
 // with a fresh environment installed by SetEnv; every Run starts from the
 // module's initial globals and a zero stack and heap lent for that run.
+//
+// Loading does only module-wide work: function ids and addresses, extern
+// resolution, counter sizing, the profile-mode masks and the globals
+// layout. Every error a module can cause at load is reported here. The
+// bytecode engine translates each function when a run first enters it
+// and keeps the translation for the machine's later runs; the switch
+// engine resolves every function here. Nothing is shared between
+// machines, and a machine reads mod again at every run, so it must not
+// outlive a change to mod: build a new Machine after editing the module.
 func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 	if opts.StackSize == 0 {
 		opts.StackSize = DefaultStackSize
@@ -184,122 +205,141 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 	if opts.MaxIL == 0 {
 		opts.MaxIL = 1 << 40
 	}
+	nf := len(mod.Funcs)
 	m := &Machine{
-		Mod:        mod,
-		Env:        env,
-		funcs:      make(map[string]*compiledFunc, len(mod.Funcs)),
-		byAddr:     make(map[int64]*compiledFunc, len(mod.Funcs)),
-		extByAddr:  make(map[int64]*externTarget, len(mod.Externs)),
-		addrByName: make(map[string]int64, len(mod.Funcs)+len(mod.Externs)),
-		opts:       opts,
+		Mod:       mod,
+		Env:       env,
+		ids:       make(map[string]int32, nf+len(mod.Externs)),
+		nAddr:     nf + len(mod.Externs),
+		impls:     make([]ExternImpl, nf, nf+len(mod.Externs)),
+		funcNames: make([]string, 0, nf+len(mod.Externs)),
+		opts:      opts,
 	}
-	id := 0
-	cfs := make([]*compiledFunc, 0, len(mod.Funcs))
-	for _, f := range mod.Funcs {
-		cf := &compiledFunc{fn: f, id: id}
-		m.funcs[f.Name] = cf
-		m.byAddr[FuncBase+int64(id)*FuncStride] = cf
-		m.addrByName[f.Name] = FuncBase + int64(id)*FuncStride
+	for id, f := range mod.Funcs {
+		m.ids[f.Name] = int32(id)
 		m.funcNames = append(m.funcNames, f.Name)
-		cfs = append(cfs, cf)
-		id++
 	}
 	for _, e := range mod.Externs {
 		impl, ok := Externs[e.Name]
 		if !ok {
 			return nil, fmt.Errorf("extern function %q has no implementation", e.Name)
 		}
-		addr := FuncBase + int64(id)*FuncStride
-		m.extByAddr[addr] = &externTarget{name: e.Name, impl: impl, id: id}
-		if _, shadowed := m.addrByName[e.Name]; !shadowed {
-			m.addrByName[e.Name] = addr
+		if _, shadowed := m.ids[e.Name]; !shadowed {
+			m.ids[e.Name] = int32(len(m.funcNames))
 		}
 		m.funcNames = append(m.funcNames, e.Name)
-		id++
+		m.impls = append(m.impls, impl)
 	}
-	m.funcCounts = make([]int64, id)
 
-	// Second pass: with every function known, resolve branch labels to pc
-	// indices and call symbols to callee pointers, and size the dense
-	// call-site counter table from the largest static site id.
+	// Size the dense counters in one scan of the code: the largest
+	// call-site id, the pointer call sites in order of first appearance,
+	// and the externs calls name without declaring, which resolve by
+	// name only: they get a counter slot but no runtime address.
 	maxCallID := 0
-	extraExterns := make(map[string]int)
-	for _, cf := range cfs {
-		code := cf.fn.Code
-		labels := cf.fn.LabelIndex()
-		cf.branchPC = make([]int32, len(code))
-		cf.callees = make([]callTarget, len(code))
-		for pc := range code {
-			in := &code[pc]
+	var ptrSites []int32
+	for _, f := range mod.Funcs {
+		for pc := range f.Code {
+			in := &f.Code[pc]
 			switch in.Op {
-			case ir.OpJump, ir.OpBr:
-				cf.branchPC[pc] = int32(labels[in.Label])
 			case ir.OpCall:
-				if callee, isUser := m.funcs[in.Sym]; isUser {
-					cf.callees[pc] = callTarget{user: callee}
-				} else if addr, declared := m.addrByName[in.Sym]; declared {
-					et := m.extByAddr[addr]
-					cf.callees[pc] = callTarget{ext: et.impl, id: et.id}
-				} else if impl, known := Externs[in.Sym]; known {
-					// Called but never declared: resolvable by name only —
-					// it gets a dense counter slot but no runtime address,
-					// matching the map-based resolution this replaces.
-					if slot, seen := extraExterns[in.Sym]; seen {
-						cf.callees[pc] = callTarget{ext: impl, id: slot}
-					} else {
+				if _, ok := m.ids[in.Sym]; !ok {
+					if impl, known := Externs[in.Sym]; known {
+						m.ids[in.Sym] = int32(len(m.funcNames))
 						m.funcNames = append(m.funcNames, in.Sym)
-						m.funcCounts = append(m.funcCounts, 0)
-						extraExterns[in.Sym] = id
-						cf.callees[pc] = callTarget{ext: impl, id: id}
-						id++
+						m.impls = append(m.impls, impl)
 					}
 				}
+			case ir.OpCallPtr:
+				ptrSites = append(ptrSites, int32(in.CallID))
+			default:
+				continue
 			}
-			if (in.Op == ir.OpCall || in.Op == ir.OpCallPtr) && in.CallID > maxCallID {
-				maxCallID = in.CallID
-			}
+			maxCallID = max(maxCallID, in.CallID)
 		}
 	}
+	m.funcCounts = make([]int64, len(m.funcNames))
 	m.siteCounts = make([]int64, maxCallID+1)
-
 	m.ptrSiteIdx = make([]int32, maxCallID+1)
 	for i := range m.ptrSiteIdx {
 		m.ptrSiteIdx[i] = -1
 	}
-	for _, cf := range cfs {
-		for pc := range cf.fn.Code {
-			in := &cf.fn.Code[pc]
-			if in.Op == ir.OpCallPtr && m.ptrSiteIdx[in.CallID] < 0 {
-				m.ptrSiteIdx[in.CallID] = int32(len(m.ptrSiteIDs))
-				m.ptrSiteIDs = append(m.ptrSiteIDs, int32(in.CallID))
-			}
+	m.ptrSiteIDs = ptrSites[:0]
+	for _, s := range ptrSites {
+		if m.ptrSiteIdx[s] < 0 {
+			m.ptrSiteIdx[s] = int32(len(m.ptrSiteIDs))
+			m.ptrSiteIDs = append(m.ptrSiteIDs, s)
 		}
 	}
 	m.ptrStride = len(m.funcCounts)
 	m.ptrTargetCounts = make([]int64, len(m.ptrSiteIDs)*m.ptrStride)
+	m.globalAddr, m.globalsLen = layoutGlobals(mod)
 
-	// Resolve the profile mode before translation: the bytecode
-	// translator reads the counter masks to elide counter updates on
-	// uninstrumented arcs.
 	if err := m.initProfileMode(); err != nil {
 		return nil, err
 	}
 
 	switch opts.Engine {
 	case "", EngineBytecode:
+		m.engine = EngineBytecode
 		if opts.Trace != nil {
 			m.engine = EngineSwitch
-			break
 		}
-		m.engine = EngineBytecode
-		m.translate(cfs)
 	case EngineSwitch:
 		m.engine = EngineSwitch
 	default:
 		return nil, fmt.Errorf("unknown interpreter engine %q (want %q or %q)",
 			opts.Engine, EngineBytecode, EngineSwitch)
 	}
+	if m.engine == EngineSwitch {
+		m.resolve()
+		return m, nil
+	}
+	m.bfuncs = make([]bcFunc, nf)
+	m.ptrTargets = make([]ptrTarget, m.nAddr)
+	for id, f := range mod.Funcs {
+		m.bfuncs[id] = bcFunc{fn: f, id: id}
+		m.ptrTargets[id].user = &m.bfuncs[id]
+	}
+	for id := nf; id < m.nAddr; id++ {
+		m.ptrTargets[id] = ptrTarget{ext: m.impls[id], id: int32(id)}
+	}
 	return m, nil
+}
+
+// resolve builds the switch engine's tables for every function: branch
+// labels become pc indices and direct calls become callees.
+func (m *Machine) resolve() {
+	m.funcs = make([]compiledFunc, len(m.Mod.Funcs))
+	for id, f := range m.Mod.Funcs {
+		cf := &m.funcs[id]
+		cf.fn, cf.id = f, id
+		labels := f.LabelIndex()
+		cf.branchPC = make([]int32, len(f.Code))
+		cf.callees = make([]callTarget, len(f.Code))
+		for pc := range f.Code {
+			in := &f.Code[pc]
+			switch in.Op {
+			case ir.OpJump, ir.OpBr:
+				cf.branchPC[pc] = int32(labels[in.Label])
+			case ir.OpCall:
+				if id, ok := m.ids[in.Sym]; ok && int(id) < len(m.funcs) {
+					cf.callees[pc] = callTarget{user: &m.funcs[id]}
+				} else if ok {
+					cf.callees[pc] = callTarget{ext: m.impls[id], id: int(id)}
+				}
+			}
+		}
+	}
+}
+
+// funcID maps a function-pointer value to the dense id of the user
+// function or declared extern at that address, or -1.
+func (m *Machine) funcID(addr int64) int {
+	rel := addr - FuncBase
+	if rel < 0 || rel%FuncStride != 0 || rel/FuncStride >= int64(m.nAddr) {
+		return -1
+	}
+	return int(rel / FuncStride)
 }
 
 // Engine reports which execution engine the machine resolved to.
@@ -312,8 +352,11 @@ func (m *Machine) SetEnv(env *Env) { m.Env = env }
 // FuncAddr returns the runtime address of a function (defined or extern),
 // via the name table precomputed at load time.
 func (m *Machine) FuncAddr(name string) (int64, bool) {
-	a, ok := m.addrByName[name]
-	return a, ok
+	id, ok := m.ids[name]
+	if !ok || int(id) >= m.nAddr {
+		return 0, false
+	}
+	return FuncBase + int64(id)*FuncStride, true
 }
 
 // Run executes main() and returns the collected statistics. A program
@@ -337,16 +380,12 @@ func (m *Machine) RunInto(st *profile.RunStats) error {
 		clear(targets)
 	}
 
-	mainFn, ok := m.funcs["main"]
-	if !ok {
+	mainID, ok := m.ids["main"]
+	if !ok || int(mainID) >= len(m.Mod.Funcs) {
 		return fmt.Errorf("module %s has no main function", m.Mod.Name)
 	}
-	if m.mem == nil {
-		mem, err := NewMemory(m.Mod, m.FuncAddr)
-		if err != nil {
-			return err
-		}
-		m.mem = mem
+	if err := m.loadGlobals(); err != nil {
+		return err
 	}
 	m.mem.borrow(m.opts.StackSize, m.opts.HeapSize)
 	defer m.mem.giveBack()
@@ -364,9 +403,9 @@ func (m *Machine) RunInto(st *profile.RunStats) error {
 	var code int64
 	var err error
 	if m.engine == EngineBytecode {
-		code, err = m.execBC(m.bfuncs[mainFn.fn.Name], nil, st)
+		code, err = m.execBC(&m.bfuncs[mainID], nil, st)
 	} else {
-		code, err = m.exec(mainFn, nil, st)
+		code, err = m.exec(&m.funcs[mainID], nil, st)
 	}
 	m.finalizeCounts(st)
 	m.foldCounts(st)
@@ -575,7 +614,7 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 			}
 			f.pc++
 		case ir.OpAddrG:
-			a, ok := m.mem.GlobalAddr(in.Sym)
+			a, ok := m.globalAddr[in.Sym]
 			if !ok {
 				return 0, &RuntimeError{Func: f.cf.fn.Name, Pos: in.Pos, Msg: "unknown global " + in.Sym}
 			}
@@ -586,7 +625,7 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 			f.regs[in.Dst] = f.base + int64(slot.Offset)
 			f.pc++
 		case ir.OpAddrF:
-			a, ok := m.addrByName[in.Sym]
+			a, ok := m.FuncAddr(in.Sym)
 			if !ok {
 				return 0, &RuntimeError{Func: f.cf.fn.Name, Pos: in.Pos, Msg: "unknown function " + in.Sym}
 			}
@@ -655,29 +694,31 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 			for i, a := range in.Args {
 				callArgs[i] = f.val(a)
 			}
-			if callee, isUser := m.byAddr[target]; isUser {
+			id := m.funcID(target)
+			if id >= 0 && id < len(m.funcs) {
+				callee := &m.funcs[id]
 				f.pc++
 				nf, err := m.push(depth, callee, callArgs, in.Dst, &sp, st)
 				if err != nil {
 					return 0, &RuntimeError{Func: f.cf.fn.Name, Pos: in.Pos, Msg: err.Error()}
 				}
 				if m.ptrEntries != nil {
-					m.bumpPtrEntry(int32(callee.id))
+					m.bumpPtrEntry(int32(id))
 				}
-				m.bumpPtrTarget(in.CallID, callee.id)
+				m.bumpPtrTarget(in.CallID, id)
 				f = nf
 				depth++
 				continue
 			}
-			if et, isExt := m.extByAddr[target]; isExt {
+			if id >= 0 {
 				st.ExternCalls++
 				if m.ptrEntries == nil {
-					m.funcCounts[et.id]++
+					m.funcCounts[id]++
 				} else {
-					m.bumpPtrEntry(int32(et.id))
+					m.bumpPtrEntry(int32(id))
 				}
-				m.bumpPtrTarget(in.CallID, et.id)
-				rv, err := et.impl(m, callArgs)
+				m.bumpPtrTarget(in.CallID, id)
+				rv, err := m.impls[id](m, callArgs)
 				if err != nil {
 					if _, isExit := err.(*exitError); isExit {
 						return 0, err

@@ -17,8 +17,9 @@ import (
 // dirtierSrc stores non-zero bytes across heap, stack and globals, then
 // ends the run from 40 frames deep in the way its stdin selects: 'x'
 // calls exit(3), 'f' faults on a NULL load, anything else loops until
-// the instruction budget trips. Its first statement checks that the
-// globals came back to their initial values. Just before it ends the
+// the instruction budget trips. Its first statements check that the
+// globals came back to their initial values, the zero-initialized array
+// included. Just before it ends the
 // run it calls loanprobe, which records the lent pair (see below).
 const dirtierSrc = `
 extern int malloc(int n);
@@ -46,6 +47,7 @@ int fill(int depth) {
 int main() {
     char *h; int i;
     if (gi != 5) return 1;
+    for (i = 0; i < 64; i++) if (g[i] != 0) return 2;
     h = (char *)malloc(65536);
     memset(h, 77, 65536);
     for (i = 0; i < 64; i++) g[i] = i + 1;

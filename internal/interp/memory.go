@@ -54,12 +54,6 @@ type Memory struct {
 	heap    []byte
 	heapTop int64 // bump pointer (offset into heap)
 
-	globalAddr map[string]int64
-
-	// initGlobals snapshots the globals segment after relocation so each
-	// run can restore it without re-running layout.
-	initGlobals []byte
-
 	// dirtyStack and dirtyHeap are high-water marks (exclusive segment
 	// offsets) of bytes that may hold non-zero data, so giveBack re-zeroes
 	// only what a run actually touched. Frame zeroing and reads never
@@ -109,9 +103,10 @@ func takeSegments(prev *segments, stackSize, heapSize int) *segments {
 }
 
 // layoutGlobals computes the load address of every global and the total
-// segment size. The layout depends only on the module, so the bytecode
-// translator can resolve global addresses before any Memory exists and
-// agree exactly with NewMemory.
+// segment size. The layout depends only on the module, so NewMachine
+// computes it once: the bytecode translator resolves global addresses
+// from it before any Memory exists, and every run's globals image is
+// written from it.
 func layoutGlobals(mod *ir.Module) (map[string]int64, int) {
 	addrs := make(map[string]int64, len(mod.Globals))
 	off := 0
@@ -127,51 +122,54 @@ func layoutGlobals(mod *ir.Module) (map[string]int64, int) {
 	return addrs, off
 }
 
-// NewMemory lays out the module's globals (applying relocations). The
-// stack and heap are lent per run by borrow. funcAddr resolves function
-// names for function-pointer relocations.
-func NewMemory(mod *ir.Module, funcAddr func(string) (int64, bool)) (*Memory, error) {
+// loadGlobals puts the module's initial globals image in the machine's
+// globals segment, allocating the segment on the first run: zeros, then
+// each global's Init bytes, then its relocations. Later runs rewrite the
+// image from the module instead of keeping a copy of it.
+func (m *Machine) loadGlobals() error {
+	mod := m.Mod
 	for name := range mod.ExternGlobals {
 		if mod.Global(name) == nil {
-			return nil, fmt.Errorf("undefined symbol %q: extern variable never defined (link the defining unit)", name)
+			return fmt.Errorf("undefined symbol %q: extern variable never defined (link the defining unit)", name)
 		}
 	}
-	addrs, size := layoutGlobals(mod)
-	m := &Memory{globalAddr: addrs}
-	m.globals = make([]byte, size)
+	if m.mem == nil {
+		m.mem = &Memory{globals: make([]byte, m.globalsLen)}
+	} else {
+		clear(m.mem.globals)
+	}
+	globals := m.mem.globals
 	for _, g := range mod.Globals {
 		base := m.globalAddr[g.Name] - GlobalsBase
-		copy(m.globals[base:], g.Init)
+		copy(globals[base:], g.Init)
 		for _, r := range g.Relocs {
 			var target int64
 			if r.IsFunc {
-				fa, ok := funcAddr(r.Sym)
+				fa, ok := m.FuncAddr(r.Sym)
 				if !ok {
-					return nil, fmt.Errorf("reloc in %s: unknown function %q", g.Name, r.Sym)
+					return fmt.Errorf("reloc in %s: unknown function %q", g.Name, r.Sym)
 				}
 				target = fa
 			} else {
 				ga, ok := m.globalAddr[r.Sym]
 				if !ok {
-					return nil, fmt.Errorf("reloc in %s: unknown global %q", g.Name, r.Sym)
+					return fmt.Errorf("reloc in %s: unknown global %q", g.Name, r.Sym)
 				}
 				target = ga
 			}
-			binary.LittleEndian.PutUint64(m.globals[base+int64(r.Offset):], uint64(target+r.Addend))
+			binary.LittleEndian.PutUint64(globals[base+int64(r.Offset):], uint64(target+r.Addend))
 		}
 	}
-	m.initGlobals = append([]byte(nil), m.globals...)
-	return m, nil
+	return nil
 }
 
-// borrow puts memory in its freshly loaded state for one run: globals
-// come back from the post-relocation snapshot, and an all-zero stack and
-// heap of the given sizes are lent by takeSegments. Every borrow must be
+// borrow puts memory in its freshly loaded state for one run: an
+// all-zero stack and heap of the given sizes are lent by takeSegments
+// (loadGlobals has already restored the globals). Every borrow must be
 // paired with a giveBack once the run is over, on every exit path.
 func (m *Memory) borrow(stackSize, heapSize int) {
 	m.loan = takeSegments(m.loan, stackSize, heapSize)
 	m.stack, m.heap = m.loan.stack, m.loan.heap
-	copy(m.globals, m.initGlobals)
 	m.heapTop = 0
 }
 
@@ -187,7 +185,7 @@ func (m *Memory) giveBack() {
 }
 
 // dirty widens the store high-water mark for the segment containing
-// addr. Globals need no tracking: borrow restores them wholesale.
+// addr. Globals need no tracking: loadGlobals rewrites them wholesale.
 func (m *Memory) dirty(addr, n int64) {
 	switch {
 	case addr >= HeapBase:
@@ -199,12 +197,6 @@ func (m *Memory) dirty(addr, n int64) {
 			m.dirtyStack = end
 		}
 	}
-}
-
-// GlobalAddr returns the load address of a global.
-func (m *Memory) GlobalAddr(name string) (int64, bool) {
-	a, ok := m.globalAddr[name]
-	return a, ok
 }
 
 // seg resolves an n-byte access at addr to its backing slice and offset.

@@ -68,7 +68,8 @@ func (m *Machine) initProfileMode() error {
 			opts.ProfileMode, ProfileFull, ProfileMinimal, ProfileSampled)
 	}
 
-	plan := callgraph.MinimalPlan(m.Mod)
+	entities, root, sites := callgraph.ModuleCoverage(m.Mod)
+	plan := callgraph.MinimalPlanFor(entities, root, sites)
 
 	// Dense id per entity name, mirroring call resolution: user functions
 	// precede externs in funcNames, and direct calls resolve user-first,
@@ -90,7 +91,6 @@ func (m *Machine) initProfileMode() error {
 	// Site mask: direct sites per the plan; pointer sites are always
 	// instrumented (they appear in no conservation equation, so the plan
 	// can never elide them — their arc weight has no other witness).
-	_, _, sites := callgraph.ModuleCoverage(m.Mod)
 	m.siteCount = make([]bool, len(m.siteCounts))
 	for _, s := range sites {
 		if s.ID >= len(m.siteCount) {

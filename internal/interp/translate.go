@@ -1,14 +1,19 @@
 package interp
 
 import (
+	"sync"
+
 	"inlinec/internal/ir"
 )
 
-// translate compiles every loaded function into bytecode. It runs after
-// NewMachine's resolution passes and consumes their results — the dense
-// function ids, resolved call targets, and branch targets in cfs — so
-// the bytecode engine observes exactly the same counter layout as the
-// switch engine.
+// translate compiles bf into bytecode on its first activation (pushBC),
+// so a run pays only for the functions it enters. The translator
+// resolves everything the bytecode names itself: branch labels through a
+// dense per-function label table, direct callees through the machine's
+// name table, and global and function addresses through the layout
+// NewMachine computed. Its scratch state is cleared per function, so a
+// function's bytecode does not depend on which functions were
+// translated before it.
 //
 // Each function is translated in two flat passes. The first records,
 // per register, how often it is read and where it is defined; the second
@@ -16,31 +21,21 @@ import (
 // (a pure temporary nothing reads, an address all of whose uses become
 // direct accesses, a compare consumed by the branch after it) to the
 // instruction that follows it (see bytecode.go).
-func (m *Machine) translate(cfs []*compiledFunc) {
-	t := translator{m: m, pool: make(map[int64]int32)}
-	t.globalAddr, t.globalsLen = layoutGlobals(m.Mod)
-	m.bfuncs = make(map[string]*bcFunc, len(cfs))
-	bfs := make([]*bcFunc, len(cfs))
-	for i, cf := range cfs {
-		bf := &bcFunc{fn: cf.fn, id: cf.id,
-			countEntry: m.entryCount == nil || m.entryCount[cf.id]}
-		bfs[i] = bf
-		m.bfuncs[cf.fn.Name] = bf
+func (m *Machine) translate(bf *bcFunc) {
+	t, _ := translators.Get().(*translator)
+	if t == nil {
+		t = &translator{pool: make(map[int64]int32)}
 	}
-	for i, cf := range cfs {
-		t.function(cf, bfs[i])
-	}
-
-	// Dense function-pointer table over user functions and declared
-	// externs (the only symbols with runtime addresses).
-	m.ptrTargets = make([]ptrTarget, len(m.Mod.Funcs)+len(m.Mod.Externs))
-	for addr, cf := range m.byAddr {
-		m.ptrTargets[(addr-FuncBase)/FuncStride] = ptrTarget{user: m.bfuncs[cf.fn.Name]}
-	}
-	for addr, et := range m.extByAddr {
-		m.ptrTargets[(addr-FuncBase)/FuncStride] = ptrTarget{ext: et.impl, id: int32(et.id)}
-	}
+	t.m = m
+	t.function(bf)
+	t.m, t.bf = nil, nil
+	translators.Put(t)
 }
+
+// translators lends translators, with the scratch buffers they have
+// grown, to every machine: a machine built for one run would otherwise
+// grow a fresh set while translating the functions it enters.
+var translators sync.Pool
 
 // regUse is the analysis pass's record of one register.
 type regUse struct {
@@ -62,19 +57,33 @@ type regUse struct {
 // access through its single address definition.
 func (u *regUse) forwarded() bool { return u.fwd > 0 && u.fwd == u.reads && u.def >= 0 }
 
-// translator holds the per-translation state and the scratch buffers
-// every function reuses.
+// translator holds the per-function translation state in scratch
+// buffers every function reuses; function copies the results out at
+// their exact sizes.
 type translator struct {
-	m          *Machine
-	globalAddr map[string]int64
-	globalsLen int
+	m *Machine
 
 	use     []regUse
 	pool    map[int64]int32
-	irToBC  []int32
+	consts  []int64
+	code    []bcInstr
+	origPC  []int32
 	patches []patch
+	// labelBC maps a label id to the bytecode pc of its definition, for
+	// ids up to a bound proportional to the function's length; farLabels
+	// holds any label beyond it. An undefined label resolves to pc 0, as
+	// the switch engine's lookup does.
+	labelBC   []int32
+	farLabels map[int]int32
 
-	cf *compiledFunc
+	// Counted by analyze for exact allocation: call sites, their
+	// arguments, and the arguments of the sites whose arguments are all
+	// constants. args and constArgs are the function's backing arrays,
+	// carved front to back as call sites are emitted.
+	nCalls, nArgs, nConstArgs int
+	args                      []int32
+	constArgs                 []int64
+
 	bf *bcFunc
 	// start is the pc of the first IL instruction not yet charged to an
 	// emitted instruction.
@@ -83,8 +92,8 @@ type translator struct {
 
 // patch is a branch whose target label is resolved after emission.
 type patch struct {
-	bcPC     int
-	irTarget int32
+	bcPC  int
+	label int
 }
 
 // binaryBC maps a binary ir.Op to its bytecode opcode. The two opcode
@@ -123,7 +132,9 @@ func bytesFrom(off int64, size int) int32 {
 func isZero(v ir.Value) bool { return v.Kind == ir.VKConst && v.Imm == 0 }
 
 // analyze is the pre-pass: reads, definitions and address forwarding
-// for every register of the function.
+// for every register of the function, the call-site and argument counts
+// emission allocates for, and a cleared label table sized to the
+// function's largest label.
 func (t *translator) analyze(fn *ir.Func) {
 	if cap(t.use) < fn.NumRegs {
 		t.use = make([]regUse, fn.NumRegs)
@@ -138,13 +149,22 @@ func (t *translator) analyze(fn *ir.Func) {
 			use[v.Reg].reads++
 		}
 	}
+	t.nCalls, t.nArgs, t.nConstArgs = 0, 0, 0
+	maxLabel := -1
 	region := int32(0)
 	for pc := range fn.Code {
 		in := &fn.Code[pc]
 		switch in.Op {
 		case ir.OpLabel:
 			region++
+			maxLabel = max(maxLabel, in.Label)
 			continue
+		case ir.OpCall, ir.OpCallPtr:
+			t.nCalls++
+			t.nArgs += len(in.Args)
+			if allConst(in.Args) {
+				t.nConstArgs += len(in.Args)
+			}
 		case ir.OpLoad, ir.OpStore:
 			if r := in.A.Reg; in.A.Kind == ir.VKReg && uint(r) < uint(len(use)) {
 				if u := &use[r]; u.def >= 0 && u.region == region && (in.Size == 1 || in.Size == 8) && int32(in.Size) <= u.avail {
@@ -169,13 +189,56 @@ func (t *translator) analyze(fn *ir.Func) {
 				u.off = int64(fn.Slots[in.A.Imm].Offset)
 				u.avail = bytesFrom(u.off, fn.FrameSize)
 			case ir.OpAddrG:
-				if ga, ok := t.globalAddr[in.Sym]; ok {
+				if ga, ok := t.m.globalAddr[in.Sym]; ok {
 					u.off = ga - GlobalsBase
-					u.avail = bytesFrom(u.off, t.globalsLen)
+					u.avail = bytesFrom(u.off, t.m.globalsLen)
 				}
 			}
 		}
 	}
+
+	// Irgen and the inliner number a function's labels densely from 0
+	// (ir.Func.NewLabel), so the table stays small; the bound keeps a
+	// hand-built label id from sizing it.
+	n := min(maxLabel+1, 2*len(fn.Code)+64)
+	if cap(t.labelBC) < n {
+		t.labelBC = make([]int32, n)
+	}
+	t.labelBC = t.labelBC[:n]
+	clear(t.labelBC)
+	clear(t.farLabels)
+}
+
+// allConst reports whether every argument is a constant (true for none).
+func allConst(args []ir.Value) bool {
+	for _, a := range args {
+		if a.Kind != ir.VKConst {
+			return false
+		}
+	}
+	return true
+}
+
+// defineLabel records that label l starts at the next bytecode pc.
+func (t *translator) defineLabel(l int) {
+	pc := int32(len(t.code))
+	if uint(l) < uint(len(t.labelBC)) {
+		t.labelBC[l] = pc
+		return
+	}
+	if t.farLabels == nil {
+		t.farLabels = make(map[int]int32)
+	}
+	t.farLabels[l] = pc
+}
+
+// labelPC is the bytecode pc label l was defined at (the last definition
+// if several, as in ir.Func.LabelIndex), or 0 if it is undefined.
+func (t *translator) labelPC(l int) int32 {
+	if uint(l) < uint(len(t.labelBC)) {
+		return t.labelBC[l]
+	}
+	return t.farLabels[l]
 }
 
 // charged reports whether in is a component the engine need not execute:
@@ -205,13 +268,13 @@ func (t *translator) charged(in *ir.Instr) bool {
 		if u.reads != 0 {
 			return false
 		}
-		_, ok := t.globalAddr[in.Sym]
+		_, ok := t.m.globalAddr[in.Sym]
 		return ok
 	case ir.OpAddrF:
 		if u.reads != 0 {
 			return false
 		}
-		_, ok := t.m.addrByName[in.Sym]
+		_, ok := t.m.FuncAddr(in.Sym)
 		return ok
 	}
 	return false
@@ -235,8 +298,8 @@ func (t *translator) nextLive(code []ir.Instr, pc int) int {
 // charging it everything from t.start.
 func (t *translator) emit(last int, in bcInstr) {
 	in.n = int32(last - t.start + 1)
-	t.bf.code = append(t.bf.code, in)
-	t.bf.origPC = append(t.bf.origPC, int32(t.start))
+	t.code = append(t.code, in)
+	t.origPC = append(t.origPC, int32(t.start))
 	t.start = last + 1
 }
 
@@ -254,9 +317,9 @@ func (t *translator) poolReg(v int64) int32 {
 	if r, ok := t.pool[v]; ok {
 		return r
 	}
-	r := int32(t.bf.fn.NumRegs + len(t.bf.consts))
+	r := int32(t.bf.fn.NumRegs + len(t.consts))
 	t.pool[v] = r
-	t.bf.consts = append(t.bf.consts, v)
+	t.consts = append(t.consts, v)
 	return r
 }
 
@@ -272,10 +335,9 @@ func (t *translator) symIdx(s string) int32 {
 	return int32(len(t.bf.syms) - 1)
 }
 
-// branch records a branch emitted at the current end of the code, to
-// the label targeted by the IL branch at pc.
-func (t *translator) branch(pc int) {
-	t.patches = append(t.patches, patch{len(t.bf.code) - 1, t.cf.branchPC[pc]})
+// branch records that the instruction just emitted branches to label.
+func (t *translator) branch(label int) {
+	t.patches = append(t.patches, patch{len(t.code) - 1, label})
 }
 
 // cmpBranch tries to fuse the compare at pc with the conditional branch
@@ -295,7 +357,7 @@ func (t *translator) cmpBranch(code []ir.Instr, pc int) int {
 		nx := &code[j]
 		if nx.Op == ir.OpBr && nx.A.Kind == ir.VKReg && nx.A.Reg == reg {
 			t.emit(j, bcInstr{op: bcEqBr + bcOp(op-ir.OpEq), a: t.operand(in.A), b: t.operand(in.B)})
-			t.branch(j)
+			t.branch(nx.Label)
 			return j
 		}
 		if nx.Op != ir.OpEq && nx.Op != ir.OpNe {
@@ -323,7 +385,7 @@ func (t *translator) access(in *ir.Instr, pc int) bool {
 		return false
 	}
 	u := &t.use[r]
-	global := t.cf.fn.Code[u.def].Op == ir.OpAddrG
+	global := t.bf.fn.Code[u.def].Op == ir.OpAddrG
 	var op bcOp
 	switch {
 	case in.Op == ir.OpLoad && !global:
@@ -346,19 +408,16 @@ func (t *translator) access(in *ir.Instr, pc int) bool {
 	return true
 }
 
-func (t *translator) function(cf *compiledFunc, bf *bcFunc) {
-	fn := cf.fn
+func (t *translator) function(bf *bcFunc) {
+	fn := bf.fn
 	code := fn.Code
-	t.cf, t.bf, t.start = cf, bf, 0
+	t.bf, t.start = bf, 0
 	t.analyze(fn)
 	clear(t.pool)
-	t.patches = t.patches[:0]
-	if cap(t.irToBC) < len(code) {
-		t.irToBC = make([]int32, len(code))
-	}
-	irToBC := t.irToBC[:len(code)]
-	bf.code = make([]bcInstr, 0, len(code)+1)
-	bf.origPC = make([]int32, 0, len(code)+1)
+	t.consts, t.code, t.origPC, t.patches = t.consts[:0], t.code[:0], t.origPC[:0], t.patches[:0]
+	bf.calls = make([]bcCallInfo, 0, t.nCalls)
+	t.args = make([]int32, t.nArgs)
+	t.constArgs = make([]int64, t.nConstArgs)
 
 	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
@@ -366,7 +425,7 @@ func (t *translator) function(cf *compiledFunc, bf *bcFunc) {
 			// Labels are not executed and not counted; pending charges
 			// must not run into a branch target.
 			t.flush(pc)
-			irToBC[pc] = int32(len(bf.code))
+			t.defineLabel(in.Label)
 			continue
 		}
 		if t.charged(in) {
@@ -421,23 +480,23 @@ func (t *translator) function(cf *compiledFunc, bf *bcFunc) {
 		case ir.OpAddrL:
 			t.emit(pc, bcInstr{op: bcAddrL, dst: int32(in.Dst), imm: int64(fn.Slots[in.A.Imm].Offset)})
 		case ir.OpAddrG:
-			if ga, ok := t.globalAddr[in.Sym]; ok {
+			if ga, ok := t.m.globalAddr[in.Sym]; ok {
 				t.emit(pc, bcInstr{op: bcConst, dst: int32(in.Dst), imm: ga})
 			} else {
 				t.emit(pc, bcInstr{op: bcBadAddrG, aux: t.symIdx(in.Sym)})
 			}
 		case ir.OpAddrF:
-			if addr, ok := t.m.addrByName[in.Sym]; ok {
+			if addr, ok := t.m.FuncAddr(in.Sym); ok {
 				t.emit(pc, bcInstr{op: bcConst, dst: int32(in.Dst), imm: addr})
 			} else {
 				t.emit(pc, bcInstr{op: bcBadAddrF, aux: t.symIdx(in.Sym)})
 			}
 		case ir.OpJump:
 			t.emit(pc, bcInstr{op: bcJump})
-			t.branch(pc)
+			t.branch(in.Label)
 		case ir.OpBr:
 			t.emit(pc, bcInstr{op: bcBr, a: t.operand(in.A)})
-			t.branch(pc)
+			t.branch(in.Label)
 		case ir.OpCall, ir.OpCallPtr:
 			t.call(in, pc)
 		case ir.OpRet:
@@ -451,40 +510,43 @@ func (t *translator) function(cf *compiledFunc, bf *bcFunc) {
 		}
 	}
 	t.flush(len(code))
-	bf.code = append(bf.code, bcInstr{op: bcEnd})
-	bf.origPC = append(bf.origPC, int32(len(code)))
-
+	t.code = append(t.code, bcInstr{op: bcEnd})
+	t.origPC = append(t.origPC, int32(len(code)))
 	for _, p := range t.patches {
-		bf.code[p.bcPC].aux = irToBC[p.irTarget]
+		t.code[p.bcPC].aux = t.labelPC(p.label)
 	}
+
+	t.args, t.constArgs = nil, nil // now bf's; the pooled translator keeps only scratch
+
+	bf.consts = append([]int64(nil), t.consts...)
 	bf.numRegs = fn.NumRegs + len(bf.consts)
+	bf.countEntry = t.m.entryCount == nil || t.m.entryCount[bf.id]
+	bf.origPC = append([]int32(nil), t.origPC...)
+	bf.code = append([]bcInstr(nil), t.code...) // non-nil: bf is translated
 }
 
-// call emits the call at pc with its pre-resolved site metadata.
+// call emits the call at pc, resolving a direct callee by name.
 func (t *translator) call(in *ir.Instr, pc int) {
 	m := t.m
 	info := bcCallInfo{site: int32(in.CallID), dst: int32(in.Dst), sym: in.Sym,
 		countSite: m.siteCount == nil || m.siteCount[in.CallID]}
-	if in.Op == ir.OpCall {
-		ct := &t.cf.callees[pc]
-		if ct.user != nil {
-			info.user = m.bfuncs[ct.user.fn.Name]
+	if id, ok := m.ids[in.Sym]; ok && in.Op == ir.OpCall {
+		if int(id) < len(m.bfuncs) {
+			info.user = &m.bfuncs[id]
 		} else {
-			info.ext = ct.ext
-			info.extID = int32(ct.id)
-			info.countExtEntry = m.entryCount == nil || m.entryCount[ct.id]
+			info.ext, info.extID = m.impls[id], id
+			info.countExtEntry = m.entryCount == nil || m.entryCount[id]
 		}
 	}
-	info.args = make([]int32, len(in.Args))
-	allConst := true
+	n := len(in.Args)
+	info.args, t.args = t.args[:n:n], t.args[n:]
 	for i, a := range in.Args {
 		info.args[i] = t.operand(a)
-		allConst = allConst && a.Kind == ir.VKConst
 	}
-	if allConst {
+	if allConst(in.Args) {
 		// call-with-const-args: the argument vector is fully known at
 		// translate time.
-		info.constArgs = make([]int64, len(in.Args))
+		info.constArgs, t.constArgs = t.constArgs[:n:n], t.constArgs[n:]
 		for i, a := range in.Args {
 			info.constArgs[i] = a.Imm
 		}

@@ -13,6 +13,7 @@ import (
 	"inlinec/internal/bench"
 	"inlinec/internal/interp"
 	"inlinec/internal/profile"
+	"inlinec/internal/testgen"
 )
 
 // dispatchProgs isolates the dispatch loop's distinct cost centers: pure
@@ -123,6 +124,51 @@ func BenchmarkInterpDispatch(b *testing.B) {
 				b.ReportMetric(float64(ilPerRun)*float64(b.N)/b.Elapsed().Seconds(), "IL/s")
 			})
 		}
+	}
+}
+
+// BenchmarkLoad measures what a run on a fresh Machine pays, as every
+// Program.Run and every profiling worker's first run does: NewMachine
+// plus that first Run. The 150-function generated module enters part of
+// its code on an empty input; funcptrs runs its first input in minimal
+// profile mode, which also builds the coverage plan. -benchmem shows the
+// load's bytes and allocations per op.
+func BenchmarkLoad(b *testing.B) {
+	gen, err := inlinec.Compile("gen150.c", testgen.Generate(1, testgen.Options{Funcs: 150}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fp := bench.Get("funcptrs")
+	fpProg, err := fp.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    *inlinec.Program
+		in   inlinec.Input
+		opts interp.Options
+	}{
+		{"testgen150", gen, inlinec.Input{}, interp.Options{}},
+		{"funcptrs-minimal", fpProg, fp.Inputs[0], interp.Options{ProfileMode: interp.ProfileMinimal}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				env := interp.NewEnv()
+				env.Stdin = c.in.Stdin
+				for k, v := range c.in.Files {
+					env.Files[k] = v
+				}
+				m, err := interp.NewMachine(c.p.Module, env, c.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
