@@ -9,16 +9,16 @@
 //	ilbench -ablation    # design-choice studies (threshold/size/heuristic/order)
 //	ilbench -icache      # instruction-cache sweep (conclusion's extension)
 //	ilbench -parallel 1  # serial run (default 0 uses every core; same tables)
-//	ilbench -engine switch          # the pre-bytecode oracle interpreter
-//	ilbench -engine both -json      # both engines, one report (perf comparison)
 //	ilbench -profile-mode all       # full/minimal/sampled profiling overhead comparison
 //	ilbench -profile-mode sampled -samplerate 32   # one reduced mode only
 //	ilbench -profile-mode predicted # profile-free: inline with synthesized weights
 //	ilbench -agreement -bench espresso -minagree 80  # predicted-vs-measured decision diff
-//	ilbench -json        # machine-readable results (see BENCH_baseline.json)
-//	ilbench -bench espresso -baseline BENCH_baseline.json  # perf gate
-//	ilbench -bench espresso -profdb 32   # profile-database ingest/merge benchmark
+//	ilbench -json        # machine-readable per-benchmark results
 //	ilbench -cpuprofile cpu.pprof -memprofile mem.pprof    # hot-path profiling
+//
+// Every number ilbench prints is deterministic: the same tables at any
+// -parallel, on any machine. Wall-clock measurement lives in the
+// repository benchmark (benchmark/run.sh).
 package main
 
 import (
@@ -37,6 +37,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// tables maps each -table value to its renderer.
+var tables = map[string]func([]*bench.BenchResult) string{
+	"1": bench.Table1, "2": bench.Table2, "3": bench.Table3,
+	"4": bench.Table4, "4x": bench.Table4x, "all": bench.AllTables,
+}
+
 func run(args []string, stdout, stderrW io.Writer) (code int) {
 	fs := flag.NewFlagSet("ilbench", flag.ContinueOnError)
 	fs.SetOutput(stderrW)
@@ -50,12 +56,10 @@ func run(args []string, stdout, stderrW io.Writer) (code int) {
 	devirtThreshold := fs.Float64("devirt-threshold", 0, "devirtualize pointer-call sites whose dominant profiled target takes at least this fraction of resolved calls (0 = off)")
 	maxRuns := fs.Int("runs", 0, "cap profiling runs per benchmark (0 = all)")
 	parallel := fs.Int("parallel", 0, "worker count for benchmarks and profiling runs (0 = all cores, 1 = serial); any value yields identical tables")
-	engine := fs.String("engine", "bytecode", "interpreter engine: bytecode, switch, or both (identical tables; different wall clock)")
 	profileMode := fs.String("profile-mode", "full", "profiling instrumentation: full (alias measured), minimal, sampled, all (every instrumentation mode), or predicted (inline with synthesized weights; zero profiling runs behind the decisions); hybrid needs a profile database and is rejected")
 	sampleRate := fs.Int("samplerate", 0, "1-in-k rate for sampled profiling (0 = default rate)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable per-benchmark results instead of the tables")
 	postOpt := fs.Bool("postopt", false, "apply post-inline cleanup passes before measuring")
-	profdbSnaps := fs.Int("profdb", 0, "also run the profile-database pipeline benchmark with this many snapshots (0 = off)")
 	agreement := fs.Bool("agreement", false, "diff predicted-vs-measured inlining decisions instead of running the tables")
 	minAgree := fs.Float64("minagree", 0, "with -agreement, fail if the agreement score falls below this percentage")
 	ablation := fs.Bool("ablation", false, "run the design-choice ablation studies instead of the tables")
@@ -63,9 +67,12 @@ func run(args []string, stdout, stderrW io.Writer) (code int) {
 	verbose := fs.Bool("v", false, "print per-benchmark progress and expansion details")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	baselinePath := fs.String("baseline", "", "compare per-run wall time against this -json report and fail on regression")
-	maxRegress := fs.Float64("maxregress", 2.0, "allowed wall-time factor over -baseline before failing")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	render, ok := tables[*table]
+	if !ok {
+		fmt.Fprintf(stderrW, "ilbench: unknown table %q (want 1, 2, 3, 4, 4x, or all)\n", *table)
 		return 2
 	}
 
@@ -121,18 +128,6 @@ func run(args []string, stdout, stderrW io.Writer) (code int) {
 	cfg.MaxRuns = *maxRuns
 	cfg.PostOptimize = *postOpt
 	cfg.Parallelism = *parallel
-
-	var engines []string
-	switch *engine {
-	case "", "bytecode", "switch":
-		engines = []string{*engine}
-	case "both":
-		engines = []string{"bytecode", "switch"}
-	default:
-		fmt.Fprintf(stderrW, "ilbench: unknown engine %q (want bytecode, switch, or both)\n", *engine)
-		return 2
-	}
-	cfg.Engine = engines[0]
 
 	modes := []string{"full", "minimal", "sampled"}
 	if *profileMode != "all" {
@@ -190,7 +185,7 @@ func run(args []string, stdout, stderrW io.Writer) (code int) {
 			agrResults = append(agrResults, r)
 		}
 		if *jsonOut {
-			data, err := bench.MarshalResults(nil, cfg.Parallelism, nil, agrResults)
+			data, err := bench.MarshalResults(nil, agrResults)
 			if err != nil {
 				fmt.Fprintf(stderrW, "ilbench: %v\n", err)
 				return 1
@@ -221,71 +216,33 @@ func run(args []string, stdout, stderrW io.Writer) (code int) {
 			fmt.Fprintf(stderrW, "running %s...\n", name)
 		}
 	}
-outer:
-	for _, eng := range engines {
-		cfg.Engine = eng
-		for _, mode := range modes {
-			cfg.ProfileMode = mode
-			if *benchName != "" {
-				b := bench.Get(*benchName)
-				if b == nil {
-					fmt.Fprintf(stderrW, "ilbench: unknown benchmark %q (have %v)\n", *benchName, bench.SuiteNames())
-					return 2
-				}
-				progress(b.Name)
-				var r *bench.BenchResult
-				r, err = bench.RunOne(b, cfg)
-				if r != nil {
-					results = append(results, r)
-				}
-			} else {
-				var rs []*bench.BenchResult
-				rs, err = bench.RunAll(cfg, progress)
-				results = append(results, rs...)
+	for _, mode := range modes {
+		cfg.ProfileMode = mode
+		if *benchName != "" {
+			b := bench.Get(*benchName)
+			if b == nil {
+				fmt.Fprintf(stderrW, "ilbench: unknown benchmark %q (have %v)\n", *benchName, bench.SuiteNames())
+				return 2
 			}
-			if err != nil {
-				break outer
+			progress(b.Name)
+			var r *bench.BenchResult
+			r, err = bench.RunOne(b, cfg)
+			if r != nil {
+				results = append(results, r)
 			}
+		} else {
+			var rs []*bench.BenchResult
+			rs, err = bench.RunAll(cfg, progress)
+			results = append(results, rs...)
 		}
-	}
-	cfg.Engine = engines[0]
-	cfg.ProfileMode = modes[0]
-	if err != nil {
-		fmt.Fprintf(stderrW, "ilbench: %v\n", err)
-		return 1
-	}
-
-	if *baselinePath != "" {
-		base, err := bench.ReadReport(*baselinePath)
 		if err != nil {
 			fmt.Fprintf(stderrW, "ilbench: %v\n", err)
 			return 1
 		}
-		if err := bench.CheckRegression(results, base, *maxRegress); err != nil {
-			fmt.Fprintf(stderrW, "ilbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderrW, "ilbench: wall time within %.1fx of %s\n", *maxRegress, *baselinePath)
-	}
-
-	var pdbResults []*bench.ProfDBResult
-	if *profdbSnaps > 0 {
-		names := []string{"espresso"}
-		if *benchName != "" {
-			names = []string{*benchName}
-		}
-		for _, name := range names {
-			r, err := bench.RunProfDB(name, *profdbSnaps, cfg)
-			if err != nil {
-				fmt.Fprintf(stderrW, "ilbench: %v\n", err)
-				return 1
-			}
-			pdbResults = append(pdbResults, r)
-		}
 	}
 
 	if *jsonOut {
-		data, err := bench.MarshalResults(results, cfg.Parallelism, pdbResults, nil)
+		data, err := bench.MarshalResults(results, nil)
 		if err != nil {
 			fmt.Fprintf(stderrW, "ilbench: %v\n", err)
 			return 1
@@ -294,25 +251,9 @@ outer:
 		return 0
 	}
 
-	switch *table {
-	case "1":
-		fmt.Fprint(stdout, bench.Table1(results))
-	case "2":
-		fmt.Fprint(stdout, bench.Table2(results))
-	case "3":
-		fmt.Fprint(stdout, bench.Table3(results))
-	case "4":
-		fmt.Fprint(stdout, bench.Table4(results))
-	case "4x":
-		fmt.Fprint(stdout, bench.Table4x(results))
-	default:
-		fmt.Fprint(stdout, bench.AllTables(results))
-	}
+	fmt.Fprint(stdout, render(results))
 	if t := bench.OverheadTable(results); t != "" {
 		fmt.Fprintf(stdout, "\n%s", t)
-	}
-	for _, r := range pdbResults {
-		fmt.Fprintf(stdout, "\n%s", r)
 	}
 	if *verbose {
 		for _, r := range results {

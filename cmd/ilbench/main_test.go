@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -44,8 +43,10 @@ func TestBenchAllTablesOneBenchmark(t *testing.T) {
 	}
 }
 
+// TestBenchJSONOutput: the -json document holds only deterministic
+// fields, so it is byte-identical at any -parallel.
 func TestBenchJSONOutput(t *testing.T) {
-	code, out, errb := runBench(t, "-bench", "wc", "-runs", "1", "-json")
+	code, out, errb := runBench(t, "-bench", "wc", "-runs", "1", "-json", "-parallel", "1")
 	if code != 0 {
 		t.Fatalf("exit = %d (%s)", code, errb)
 	}
@@ -57,9 +58,41 @@ func TestBenchJSONOutput(t *testing.T) {
 		t.Fatalf("results = %+v", rep.Results)
 	}
 	r := rep.Results[0]
-	if r.Runs != 1 || r.AvgILBefore <= 0 || r.AvgILAfter <= 0 || r.Seconds <= 0 {
+	if r.Runs != 1 || r.AvgILBefore <= 0 || r.AvgILAfter <= 0 {
 		t.Errorf("implausible record: %+v", r)
 	}
+	var doc any
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"seconds", "phases", "num_cpu", "parallelism", "engine", "profdb"} {
+		if hasKey(doc, key) {
+			t.Errorf("-json carries the machine-dependent key %q:\n%s", key, out)
+		}
+	}
+	if _, par, _ := runBench(t, "-bench", "wc", "-runs", "1", "-json", "-parallel", "4"); par != out {
+		t.Errorf("-parallel changed the -json document:\n%s\nvs\n%s", out, par)
+	}
+}
+
+// hasKey reports whether key names a field of any object in a decoded
+// JSON document.
+func hasKey(doc any, key string) bool {
+	switch v := doc.(type) {
+	case map[string]any:
+		for k, sub := range v {
+			if k == key || hasKey(sub, key) {
+				return true
+			}
+		}
+	case []any:
+		for _, sub := range v {
+			if hasKey(sub, key) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestBenchParallelMatchesSerial(t *testing.T) {
@@ -67,32 +100,6 @@ func TestBenchParallelMatchesSerial(t *testing.T) {
 	_, parallel, _ := runBench(t, "-bench", "grep", "-runs", "2", "-parallel", "4", "-table", "4")
 	if serial != parallel {
 		t.Errorf("-parallel changed the tables:\n%s\nvs\n%s", serial, parallel)
-	}
-}
-
-func TestBenchBaselineGate(t *testing.T) {
-	// Record a baseline from a real run, then gate against it: the same
-	// workload must pass a generous factor and fail an absurdly strict one.
-	code, out, errb := runBench(t, "-bench", "wc", "-runs", "1", "-json")
-	if code != 0 {
-		t.Fatalf("baseline run exit = %d (%s)", code, errb)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, errb = runBench(t, "-bench", "wc", "-runs", "1", "-baseline", path, "-maxregress", "1000")
-	if code != 0 {
-		t.Errorf("generous gate failed: exit %d (%s)", code, errb)
-	} else if !strings.Contains(errb, "wall time within") {
-		t.Errorf("passing gate should report success: %q", errb)
-	}
-	code, _, errb = runBench(t, "-bench", "wc", "-runs", "1", "-baseline", path, "-maxregress", "0.000001")
-	if code == 0 || !strings.Contains(errb, "regression") {
-		t.Errorf("impossible gate passed: exit %d (%s)", code, errb)
-	}
-	if code, _, errb = runBench(t, "-bench", "wc", "-runs", "1", "-baseline", "no-such-file.json"); code == 0 {
-		t.Errorf("missing baseline file accepted: %s", errb)
 	}
 }
 
@@ -106,6 +113,17 @@ func TestBenchUnknownBenchmark(t *testing.T) {
 func TestBenchBadFlag(t *testing.T) {
 	if code, _, _ := runBench(t, "-nope"); code == 0 {
 		t.Error("unknown flag must fail")
+	}
+}
+
+// TestBenchUnknownTable: a -table value that names no table is rejected
+// with exit 2 before any benchmark runs, instead of printing every table.
+func TestBenchUnknownTable(t *testing.T) {
+	for _, table := range []string{"9", "4X", ""} {
+		code, out, errb := runBench(t, "-bench", "tee", "-runs", "1", "-table", table, "-v")
+		if code != 2 || out != "" || !strings.Contains(errb, "unknown table") || strings.Contains(errb, "running") {
+			t.Errorf("-table %q: exit = %d, stdout %q, stderr %q; want exit 2, no output and no run", table, code, out, errb)
+		}
 	}
 }
 

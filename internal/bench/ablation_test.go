@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// TestAblationReport pins the whole ablation report, built on two
+// inputs per program, to a golden file. Refresh with `go test
+// ./internal/bench -run AblationReport -update`.
 func TestAblationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many experiment configurations")
@@ -13,17 +16,7 @@ func TestAblationReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AblationReport: %v", err)
 	}
-	for _, frag := range []string{
-		"Ablation A", "threshold",
-		"Ablation B", "cap",
-		"Ablation C", "profile", "leaf", "small-callee",
-		"Ablation D", "linear order", "fixed point",
-		"Ablation E", "held out",
-	} {
-		if !strings.Contains(report, frag) {
-			t.Errorf("report missing %q", frag)
-		}
-	}
+	checkGolden(t, "ablation.golden", report)
 }
 
 func TestICacheReport(t *testing.T) {

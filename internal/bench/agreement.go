@@ -40,7 +40,7 @@ func RunAgreement(b *Benchmark, cfg Config) (*AgreementResult, error) {
 		inputs = inputs[:cfg.MaxRuns]
 	}
 
-	o := inlinec.Options{Parallelism: cfg.Parallelism, Engine: cfg.Engine}
+	o := inlinec.Options{Parallelism: cfg.Parallelism}
 	mp, err := b.compileWith(o)
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ package bench
 import (
 	"embed"
 	"fmt"
-	"sort"
 	"strings"
 
 	"inlinec"
@@ -94,16 +93,4 @@ func SuiteNames() []string {
 func Get(name string) *Benchmark {
 	Suite()
 	return registry[name]
-}
-
-// SortedNames returns the registered names sorted alphabetically (handy
-// for deterministic iteration in tools).
-func SortedNames() []string {
-	Suite()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"inlinec"
 	"inlinec/internal/callgraph"
 	"inlinec/internal/inline"
 	"inlinec/internal/interp"
-	"inlinec/internal/obs"
 	"inlinec/internal/pool"
 )
 
@@ -33,10 +31,6 @@ type Config struct {
 	// are merged in suite and input order, so every setting produces the
 	// same tables.
 	Parallelism int
-	// Engine selects the interpreter engine ("bytecode", the default when
-	// empty, or "switch"). Both engines produce identical tables; the
-	// wall-clock columns are what differ.
-	Engine string
 	// ProfileMode is a -profile-mode value, split by
 	// inlinec.ParseProfileMode. The instrumentation modes ("full", the
 	// default when empty, "minimal", or "sampled") select how the
@@ -45,9 +39,8 @@ type Config struct {
 	// ProfileEvents/WeightErrPct columns record the overhead and accuracy
 	// trade-off. "predicted" feeds the inline expander synthesized
 	// weights (zero profiling runs behind its decisions) while the
-	// before/after measurements still run fully instrumented — the
-	// configuration the predictor's compile-time cost is tracked under;
-	// its WeightErrPct column reports the predicted-vs-measured total
+	// before/after measurements still run fully instrumented; its
+	// WeightErrPct column reports the predicted-vs-measured total
 	// call-count error. "hybrid" is rejected: the suite has no profile
 	// database to draw on.
 	ProfileMode string
@@ -68,8 +61,6 @@ func DefaultConfig() Config {
 type BenchResult struct {
 	Name      string
 	InputDesc string
-	// Engine is the interpreter engine the dynamic measurements ran on.
-	Engine string
 	// ProfileMode is the profiling instrumentation mode the measurements
 	// used ("full", "minimal", or "sampled"), or "predicted" when the
 	// expander's weights were synthesized, with SampleRate the effective
@@ -92,14 +83,6 @@ type BenchResult struct {
 	AvgIL      float64 // dynamic IL count per typical run (pre-inline)
 	AvgControl float64 // dynamic control transfers per run (pre-inline)
 	AvgILAfter float64 // dynamic IL count per run after inline expansion
-	// Seconds is the wall-clock cost of the whole methodology for this
-	// benchmark (compile, two profiling passes, expansion, classification).
-	Seconds float64
-	// Phases breaks Seconds down by pipeline phase (frontend.parse,
-	// profile, inline.expand, ...), summed across workers — concurrent
-	// phases can exceed Seconds. Wall-clock like Seconds: compare
-	// trends, not digits.
-	Phases map[string]float64
 
 	// Table 2/3: static and dynamic call-site characteristics.
 	Classes callgraph.ClassCounts
@@ -118,7 +101,6 @@ type BenchResult struct {
 // original, classify its call sites, inline with profile guidance,
 // re-profile, and collect the table rows.
 func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
-	start := time.Now()
 	inputs := b.Inputs
 	if cfg.MaxRuns > 0 && len(inputs) > cfg.MaxRuns {
 		inputs = inputs[:cfg.MaxRuns]
@@ -130,12 +112,8 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("benchmark %s: %w", b.Name, err)
 	}
-	// A per-benchmark registry keeps the phase breakdown isolated from
-	// benchmarks running concurrently in RunAll.
 	p, err := b.compileWith(inlinec.Options{
 		Parallelism: cfg.Parallelism,
-		Obs:         obs.NewRegistry(),
-		Engine:      cfg.Engine,
 		ProfileMode: mode,
 		SampleRate:  cfg.SampleRate,
 	})
@@ -147,10 +125,6 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 		return nil, fmt.Errorf("%s: profiling original: %w", b.Name, err)
 	}
 
-	engine := cfg.Engine
-	if engine == "" {
-		engine = interp.EngineBytecode
-	}
 	rate := 0
 	if mode == interp.ProfileSampled {
 		rate = cfg.SampleRate
@@ -161,7 +135,6 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 	r := &BenchResult{
 		Name:        b.Name,
 		InputDesc:   b.InputDesc,
-		Engine:      engine,
 		ProfileMode: mode,
 		SampleRate:  rate,
 		CLines:      b.CLines(),
@@ -241,8 +214,6 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 			r.PostMix[i] = cc.Dynamic[i] / total
 		}
 	}
-	r.Seconds = time.Since(start).Seconds()
-	r.Phases = p.Obs.PhaseSeconds()
 	return r, nil
 }
 

@@ -94,6 +94,47 @@ func TestTablesRenderAllRows(t *testing.T) {
 	}
 }
 
+// TestTablesGolden pins the reproduction's tables: Tables 1-4 and the
+// section 4.4 mix over the twelve programs at the paper's defaults, plus
+// Table 4 for espresso inlined with predicted weights and for funcptrs
+// under guarded expansion. Every program's dynamic IL, control
+// transfers, calls, code growth and class mix is gated exactly, so any
+// change to them is a reviewed diff. Refresh with `go test
+// ./internal/bench -run TablesGolden -update`.
+func TestTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every suite input twice")
+	}
+	suite, err := RunAll(DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predicted := DefaultConfig()
+	predicted.ProfileMode = "predicted"
+	espresso, err := RunOne(Get("espresso"), predicted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The guarded configuration of scripts/check_agreement.sh.
+	guarded := DefaultConfig()
+	guarded.Inline.WeightThreshold = 1
+	guarded.Classify.WeightThreshold = 1
+	guarded.Inline.SizeLimitFactor = 3.0
+	guarded.Inline.DevirtThreshold = 0.9
+	guarded.Inline.PartialInline = true
+	guarded.Inline.MaxCalleeSize = 40
+	funcptrs, err := RunOne(Get("funcptrs"), guarded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := AllTables(suite) +
+		"\nPredicted weights: ilbench -bench espresso -profile-mode predicted -table 4\n" +
+		Table4([]*BenchResult{espresso}) +
+		"\nGuarded expansion: ilbench -bench funcptrs -threshold 1 -sizelimit 3.0 -devirt-threshold 0.9 -partial-inline -maxcallee 40 -table 4\n" +
+		Table4([]*BenchResult{funcptrs})
+	checkGolden(t, "tables.golden", got)
+}
+
 func TestMeanSD(t *testing.T) {
 	m, s := meanSD([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if m != 5 {
@@ -131,10 +172,6 @@ func TestBenchmarkMetadata(t *testing.T) {
 	}
 	if Get("nonexistent") != nil {
 		t.Error("Get of unknown benchmark must be nil")
-	}
-	sorted := SortedNames()
-	if len(sorted) != len(names)+1 {
-		t.Errorf("SortedNames = %v, want the twelve-table suite plus funcptrs", sorted)
 	}
 }
 

@@ -14,6 +14,25 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files instead of comparing")
 
+// checkGolden compares got against testdata/name, or rewrites that file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s (run with -update to refresh):\n--- got ---\n%s", golden, got)
+	}
+}
+
 // espressoExplain runs the espresso benchmark's inline pipeline at the
 // given worker count and returns its three deterministic artifacts: the
 // -explain-inline report, the JSONL decision trace, and the final module.
@@ -62,19 +81,7 @@ func espressoExplain(t *testing.T, par int) (report string, jsonl []byte, module
 // ./internal/bench -run ExplainGolden -update`.
 func TestEspressoExplainGolden(t *testing.T) {
 	report, _, _ := espressoExplain(t, 1)
-	golden := filepath.Join("testdata", "espresso_explain.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(report), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report != string(want) {
-		t.Errorf("espresso explain report drifted from %s (run with -update to refresh):\n--- got ---\n%s", golden, report)
-	}
+	checkGolden(t, "espresso_explain.golden", report)
 }
 
 // funcPtrsExplain runs the funcptrs benchmark's pipeline with guarded
@@ -134,19 +141,7 @@ func TestFuncPtrsExplainGolden(t *testing.T) {
 			t.Errorf("funcptrs explain report is missing %q:\n%s", want, report)
 		}
 	}
-	golden := filepath.Join("testdata", "funcptrs_explain.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(report), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report != string(want) {
-		t.Errorf("funcptrs explain report drifted from %s (run with -update to refresh):\n--- got ---\n%s", golden, report)
-	}
+	checkGolden(t, "funcptrs_explain.golden", report)
 }
 
 // TestFuncPtrsExplainDeterministic: guarded expansion's artifacts are

@@ -45,7 +45,7 @@ func Table2(results []*BenchResult) string {
 		fmt.Fprintf(w, "%s\t%d\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\n",
 			r.Name, r.Classes.TotalStatic(), e, p, u, s)
 	}
-	writeAvgSD4(w, ext, ptr, uns, safe, "")
+	writeAvg4(w, "AVG\t", ext, ptr, uns, safe)
 	w.Flush()
 	return sb.String()
 }
@@ -72,7 +72,7 @@ func Table3(results []*BenchResult) string {
 		fmt.Fprintf(w, "%s\t%s\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\n",
 			r.Name, kilo(total), e, p, u, s)
 	}
-	writeAvgSD4(w, ext, ptr, uns, safe, "")
+	writeAvg4(w, "AVG\t", ext, ptr, uns, safe)
 	w.Flush()
 	return sb.String()
 }
@@ -120,7 +120,7 @@ func Table4x(results []*BenchResult) string {
 		fmt.Fprintf(w, "%s\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\n",
 			r.Name, 100*r.PostMix[0], 100*r.PostMix[1], 100*r.PostMix[2], 100*r.PostMix[3])
 	}
-	writeAvgSD4(w, cols[0], cols[1], cols[2], cols[3], "")
+	writeAvg4(w, "AVG", cols[0], cols[1], cols[2], cols[3])
 	w.Flush()
 	return sb.String()
 }
@@ -134,12 +134,15 @@ func kilo(v float64) string {
 	return fmt.Sprintf("%.1fK", v/1000)
 }
 
-func writeAvgSD4(w *tabwriter.Writer, a, b, c, d []float64, suffix string) {
+// writeAvg4 writes the AVG row of a four-class table. label fills every
+// cell before the class columns: "AVG\t" skips Tables 2 and 3's
+// total/calls column, which Table 4x does not have.
+func writeAvg4(w *tabwriter.Writer, label string, a, b, c, d []float64) {
 	ma, _ := meanSD(a)
 	mb, _ := meanSD(b)
 	mc, _ := meanSD(c)
 	md, _ := meanSD(d)
-	fmt.Fprintf(w, "AVG\t%s\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\n", suffix, ma, mb, mc, md)
+	fmt.Fprintf(w, "%s\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\n", label, ma, mb, mc, md)
 }
 
 // AllTables renders the complete experiment report.
@@ -151,8 +154,8 @@ func AllTables(results []*BenchResult) string {
 // OverheadTable renders the profiling-overhead comparison: counter
 // increments and arc-weight error per benchmark and profile mode, with
 // the event-reduction factor relative to the full-mode row of the same
-// benchmark and engine when one is present. Empty unless some result
-// used a reduced mode — single-mode full runs have nothing to compare.
+// benchmark when one is present. Empty unless some result used a
+// reduced mode — single-mode full runs have nothing to compare.
 func OverheadTable(results []*BenchResult) string {
 	reduced := false
 	full := make(map[string]int64)
@@ -160,7 +163,7 @@ func OverheadTable(results []*BenchResult) string {
 		if r.ProfileMode != "" && r.ProfileMode != "full" {
 			reduced = true
 		} else {
-			full[r.Name+"\x00"+r.Engine] = r.ProfileEvents
+			full[r.Name] = r.ProfileEvents
 		}
 	}
 	if !reduced {
@@ -169,7 +172,7 @@ func OverheadTable(results []*BenchResult) string {
 	var sb strings.Builder
 	sb.WriteString("Profiling overhead by mode (counter increments across both profiling passes).\n")
 	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tengine\tmode\trate\tevents\tvs full\tweight err")
+	fmt.Fprintln(w, "benchmark\tmode\trate\tevents\tvs full\tweight err")
 	for _, r := range results {
 		mode := r.ProfileMode
 		if mode == "" {
@@ -180,11 +183,11 @@ func OverheadTable(results []*BenchResult) string {
 			rate = fmt.Sprintf("1/%d", r.SampleRate)
 		}
 		vs := "-"
-		if f, ok := full[r.Name+"\x00"+r.Engine]; ok && mode != "full" && r.ProfileEvents > 0 {
+		if f, ok := full[r.Name]; ok && mode != "full" && r.ProfileEvents > 0 {
 			vs = fmt.Sprintf("%.1fx less", float64(f)/float64(r.ProfileEvents))
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\t%s\t%.2f%%\n",
-			r.Name, r.Engine, mode, rate, r.ProfileEvents, vs, r.WeightErrPct)
+		fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%s\t%.2f%%\n",
+			r.Name, mode, rate, r.ProfileEvents, vs, r.WeightErrPct)
 	}
 	w.Flush()
 	return sb.String()

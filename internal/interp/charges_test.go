@@ -22,7 +22,7 @@ func TestChargesCoverIL(t *testing.T) {
 		inputs []inlinec.Input
 	}
 	var progs []prog
-	for _, name := range bench.SortedNames() {
+	for _, name := range append(bench.SuiteNames(), "funcptrs") {
 		bm := bench.Get(name)
 		progs = append(progs, prog{name, bm.Source, bm.Inputs[:min(2, len(bm.Inputs))]})
 	}

@@ -18,7 +18,7 @@ import (
 // bytecode a machine translating every function in module order emits,
 // and translating in reverse module order changes no function.
 func TestOnDemandMatchesEager(t *testing.T) {
-	for _, name := range bench.SortedNames() {
+	for _, name := range append(bench.SuiteNames(), "funcptrs") {
 		bm := bench.Get(name)
 		inputs := bm.Inputs[:min(2, len(bm.Inputs))]
 		t.Run(name, func(t *testing.T) {

@@ -51,7 +51,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Gauge("b", "").Set(1)
 	r.Histogram("c", "", nil).Observe(1)
 	r.StartSpan("p")()
-	if r.PhaseSeconds() != nil || r.Spans() != nil {
+	if r.Spans() != nil {
 		t.Error("nil registry returned non-nil data")
 	}
 	var sb bytes.Buffer
@@ -128,9 +128,9 @@ func TestSpansAndChromeTrace(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	end()
 	r.StartSpanWorker("expand", 3)()
-	phases := r.PhaseSeconds()
-	if phases["parse"] <= 0 {
-		t.Errorf("parse phase seconds = %v, want > 0", phases["parse"])
+	spans := r.Spans()
+	if len(spans) != 2 || spans[0].Name != "parse" || spans[0].Dur <= 0 || spans[1].Worker != 3 {
+		t.Errorf("spans = %+v, want a timed parse span then expand on worker 3", spans)
 	}
 	var sb bytes.Buffer
 	if err := r.WriteChromeTrace(&sb); err != nil {

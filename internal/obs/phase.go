@@ -54,23 +54,6 @@ func (r *Registry) Spans() []Span {
 	return append([]Span(nil), r.spans...)
 }
 
-// PhaseSeconds aggregates span durations by name — the per-phase
-// breakdown the benchmark reports embed. Nested or concurrent spans
-// with the same name sum, so a parallel phase reports total CPU-lane
-// time, not wall time.
-func (r *Registry) PhaseSeconds() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, 8)
-	for _, s := range r.spans {
-		out[s.Name] += s.Dur.Seconds()
-	}
-	return out
-}
-
 // chromeEvent is one Chrome trace-event ("X" complete events only) as
 // understood by chrome://tracing, Perfetto, and speedscope.
 type chromeEvent struct {
