@@ -112,8 +112,8 @@ func TestEngineEquivalence(t *testing.T) {
 // TestEngineEquivalencePerMode extends the cross-engine contract to the
 // reduced profiling modes: within each mode the two engines must stay
 // bit-identical on every artifact, and the minimal mode's artifacts must
-// additionally equal full mode's exactly — flow-conservation
-// reconstruction is exact, so eliding counters may change nothing
+// additionally equal full mode's exactly — entry counts derived from
+// site counts are exact, so counting no entries may change nothing
 // downstream.
 func TestEngineEquivalencePerMode(t *testing.T) {
 	src := testgen.Generate(2100, testgen.Options{Recursion: true, Pointers: true, FuncPtrs: true, Extern: true, Funcs: 10, MaxStmts: 8})
@@ -136,7 +136,7 @@ func TestEngineEquivalencePerMode(t *testing.T) {
 						bc.module == sw.module, bc.stdout == sw.stdout)
 				}
 			}
-			// Minimal reconstruction (and sampled at rate 1, which counts
+			// Minimal mode (and sampled at rate 1, which counts
 			// every event) is exact: every artifact byte-identical to full.
 			if mode.name == interp.ProfileMinimal || mode.rate == 1 {
 				if sw != full {
@@ -168,7 +168,7 @@ func runBothEnginesMode(t *testing.T, src string, maxIL int64, mode string, rate
 		stdout, stderr, errText string
 		stats                   RunStats
 	}
-	runOn := func(engine string) outcome {
+	runOn := func(engine, mode string) outcome {
 		env := interp.NewEnv()
 		env.Stdin = []byte("5\n")
 		m, err := interp.NewMachine(p.Module, env, interp.Options{
@@ -185,8 +185,8 @@ func runBothEnginesMode(t *testing.T, src string, maxIL int64, mode string, rate
 		}
 		return o
 	}
-	sw := runOn(interp.EngineSwitch)
-	bc := runOn(interp.EngineBytecode)
+	sw := runOn(interp.EngineSwitch, mode)
+	bc := runOn(interp.EngineBytecode, mode)
 	if sw.errText != bc.errText {
 		t.Fatalf("error divergence (maxIL=%d):\nswitch:   %q\nbytecode: %q", maxIL, sw.errText, bc.errText)
 	}
@@ -196,6 +196,32 @@ func runBothEnginesMode(t *testing.T, src string, maxIL int64, mode string, rate
 	}
 	if !reflect.DeepEqual(sw.stats, bc.stats) {
 		t.Fatalf("stats divergence (maxIL=%d):\nswitch:   %+v\nbytecode: %+v", maxIL, sw.stats, bc.stats)
+	}
+
+	// The modes that count no entries but every event derive entry
+	// counts from site counts, so a run that ends without a fault (exit()
+	// included) must give full mode's counters exactly. Faulted runs are
+	// left out: a call that overflows the stack counts its site but
+	// enters nothing, and profiling never keeps such a run.
+	if mode != interp.ProfileMinimal && (mode != interp.ProfileSampled || rate != 1) {
+		return
+	}
+	full := runOn(interp.EngineSwitch, interp.ProfileFull)
+	if full.errText != "" {
+		return
+	}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"FuncCounts", sw.stats.FuncCounts, full.stats.FuncCounts},
+		{"SiteCounts", sw.stats.SiteCounts, full.stats.SiteCounts},
+		{"PtrTargets", sw.stats.PtrTargets, full.stats.PtrTargets},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s in mode %s (rate %d) differ from full mode's (maxIL=%d):\ngot:  %v\nfull: %v",
+				c.name, mode, rate, maxIL, c.got, c.want)
+		}
 	}
 }
 
@@ -275,8 +301,11 @@ func TestEngineOptionValidation(t *testing.T) {
 // possibly tiny instruction budget, so faults land mid-execution), and
 // require identical outputs, error text, and profile counters. Shape
 // bits 0-3 pick program features; bits 4-5 pick the profile mode and
-// bits 6-7 the sampling rate, so the reduced counter placements face the
-// same fault-anywhere adversary as full instrumentation.
+// bits 6-7 the sampling rate, so the reduced modes face the same
+// fault-anywhere adversary as full instrumentation. Minimal mode and
+// sampling at rate 1 must also reproduce a full-mode run's function,
+// site and pointer-target counts whenever that run ends without a
+// fault.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(0))
 	f.Add(int64(2), uint8(1), int64(0))
@@ -289,6 +318,8 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(9), uint8(15|1<<4), int64(0))        // minimal mode
 	f.Add(int64(10), uint8(15|2<<4|1<<6), int64(0))  // sampled, rate 1
 	f.Add(int64(11), uint8(15|2<<4|2<<6), int64(93)) // sampled, rate 7, tiny budget
+	f.Add(int64(15), uint8(15|1<<4), int64(0))       // minimal, pointer calls
+	f.Add(int64(16), uint8(15|2<<4|1<<6), int64(0))  // sampled, rate 1, pointer calls
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, budget int64) {
 		opts := testgen.Options{
 			Recursion: shape&1 != 0,

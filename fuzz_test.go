@@ -1,11 +1,9 @@
 package inlinec
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"inlinec/internal/callgraph"
 	"inlinec/internal/interp"
 	"inlinec/internal/ir"
 	"inlinec/internal/irgen"
@@ -314,114 +312,6 @@ func FuzzProfDBDecoder(f *testing.F) {
 			profdb.WriteSnapshot(&second, program2, rec2)
 			if first.String() != second.String() {
 				t.Fatalf("snapshot round trip not a fixed point:\n%s\nvs\n%s", first.String(), second.String())
-			}
-		}
-	})
-}
-
-// FuzzFlowReconstruction is the coverage planner's adversary: build a
-// random call-arc system (direct, pointer, and root arcs with random
-// true counts), instrument it under a random coverage plan — the
-// minimal plan or arbitrary per-equation elision choices — drop the
-// elided counters, reconstruct, and require every counter back exactly.
-// This pins the flow-conservation algebra independently of the
-// interpreter, so a future planner change cannot silently trade
-// exactness for coverage.
-func FuzzFlowReconstruction(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(6), uint8(0))
-	f.Add(int64(2), uint8(1), uint8(0), uint8(0))
-	f.Add(int64(3), uint8(8), uint8(23), uint8(1))
-	f.Add(int64(4), uint8(5), uint8(12), uint8(1))
-	f.Add(int64(5), uint8(2), uint8(20), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, ne, ns, chooseMode uint8) {
-		rng := uint64(seed)*2654435761 + 12345
-		next := func(n int) int {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return int(rng % uint64(n))
-		}
-		n := int(ne)%8 + 1
-		entities := make([]string, n)
-		for i := range entities {
-			entities[i] = fmt.Sprintf("f%d", i)
-		}
-		root := entities[0]
-		rootRuns := int64(next(4))
-
-		numSites := int(ns) % 24
-		sites := make([]callgraph.CoverageSite, 0, numSites)
-		trueSites := make(map[int]int64)
-		trueEntries := make(map[string]int64)
-		truePtr := make(map[string]int64)
-		trueEntries[root] += rootRuns
-		for i := 0; i < numSites; i++ {
-			cnt := int64(next(1000))
-			trueSites[i] = cnt
-			if c := next(n + 1); c == n {
-				// Pointer site: its calls enter some entity, witnessed only
-				// by that entity's pointer-entry counter.
-				sites = append(sites, callgraph.CoverageSite{ID: i})
-				tgt := entities[next(n)]
-				truePtr[tgt] += cnt
-				trueEntries[tgt] += cnt
-			} else {
-				sites = append(sites, callgraph.CoverageSite{ID: i, Callee: entities[c]})
-				trueEntries[entities[c]] += cnt
-			}
-		}
-
-		var plan *callgraph.CoveragePlan
-		if chooseMode%2 == 0 {
-			plan = callgraph.MinimalPlanFor(entities, root, sites)
-			if plan.Elided != n {
-				t.Fatalf("minimal plan elided %d of %d entry counters", plan.Elided, n)
-			}
-		} else {
-			plan = callgraph.NewPlan(entities, root, sites, func(e string, in []int) int {
-				switch next(3) {
-				case 0:
-					return callgraph.ElideEntry
-				case 1:
-					return callgraph.KeepAll
-				default:
-					if len(in) == 0 {
-						return callgraph.ElideEntry
-					}
-					return in[next(len(in))]
-				}
-			})
-		}
-
-		// Observe only the instrumented counters (pointer sites always).
-		obs := callgraph.Counts{
-			Entries:    make(map[string]int64),
-			Sites:      make(map[int]int64),
-			PtrEntries: truePtr,
-			RootRuns:   rootRuns,
-		}
-		for _, e := range entities {
-			if plan.EntryCounted[e] {
-				obs.Entries[e] = trueEntries[e]
-			}
-		}
-		for _, s := range sites {
-			if s.Callee == "" || plan.SiteCounted[s.ID] {
-				obs.Sites[s.ID] = trueSites[s.ID]
-			}
-		}
-
-		plan.Reconstruct(obs)
-		for _, e := range entities {
-			if obs.Entries[e] != trueEntries[e] {
-				t.Errorf("entity %s reconstructed %d, want %d (counted=%v)",
-					e, obs.Entries[e], trueEntries[e], plan.EntryCounted[e])
-			}
-		}
-		for _, s := range sites {
-			if obs.Sites[s.ID] != trueSites[s.ID] {
-				t.Errorf("site %d reconstructed %d, want %d (counted=%v)",
-					s.ID, obs.Sites[s.ID], trueSites[s.ID], plan.SiteCounted[s.ID])
 			}
 		}
 	})

@@ -192,15 +192,16 @@ type Options struct {
 	// switch engine is retained as the differential-testing oracle.
 	Engine string
 
-	// ProfileMode selects how much profiling instrumentation Run and
-	// ProfileInputs execute: interp.ProfileFull (the default when empty)
-	// counts every arc and entry, interp.ProfileMinimal counts only a
-	// minimum coverage set and reconstructs the rest exactly by flow
-	// conservation, and interp.ProfileSampled additionally counts 1-in-k
-	// events and rescales. Minimal profiles are byte-identical to full
-	// ones; sampled profiles are approximate but an order of magnitude
-	// cheaper to collect. Both engines honor the mode identically.
-	// ParseProfileMode maps a -profile-mode flag value onto this field.
+	// ProfileMode selects which profiling counters Run and ProfileInputs
+	// increment: interp.ProfileFull (the default when empty) counts every
+	// arc and entry, interp.ProfileMinimal counts arcs and pointer-call
+	// entries and derives every other entry count from the arc counts,
+	// and interp.ProfileSampled additionally counts 1-in-k events and
+	// rescales. Minimal profiles are byte-identical to full ones; sampled
+	// profiles are approximate. The reduced modes perform fewer counter
+	// increments but take about as long. Both engines honor the mode
+	// identically. ParseProfileMode maps a -profile-mode flag value onto
+	// this field.
 	ProfileMode string
 
 	// SampleRate is the 1-in-k rate for interp.ProfileSampled (0 uses

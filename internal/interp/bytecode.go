@@ -156,11 +156,6 @@ type bcCallInfo struct {
 	// mutate, so sharing one backing array is safe).
 	constArgs []int64
 	sym       string // callee symbol, for unimplemented-extern faults
-	// countSite/countExtEntry bake the coverage plan's counter masks into
-	// the call site at translate time: a false flag is an elided counter
-	// the reduced profile modes reconstruct at finalize (profmode.go).
-	countSite     bool
-	countExtEntry bool
 }
 
 // ptrTarget is one entry of the dense function-pointer table indexed by
@@ -187,9 +182,6 @@ type bcFunc struct {
 	origPC []int32
 	calls  []bcCallInfo
 	syms   []string // interned symbols for cold fault messages
-	// countEntry is the coverage plan's entry-counter mask for this
-	// function (always true in full profile mode).
-	countEntry bool
 }
 
 // bcFrame is one bytecode activation record.

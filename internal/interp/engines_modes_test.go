@@ -1,12 +1,16 @@
 package interp
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"inlinec/internal/ir"
 	"inlinec/internal/irgen"
 	"inlinec/internal/parser"
 	"inlinec/internal/sema"
+	"inlinec/internal/testgen"
 )
 
 // dispatchSrc exercises every counter class in one program: direct
@@ -124,5 +128,47 @@ func TestBadProfileOptions(t *testing.T) {
 	}
 	if m.Engine() != EngineSwitch {
 		t.Errorf("Engine() = %q, want %q", m.Engine(), EngineSwitch)
+	}
+}
+
+// TestMinimalModeLoadAllocs pins what minimal mode adds to NewMachine,
+// counted in allocations rather than time: the list of direct sites and
+// their callees, a fixed few allocations whatever the module's size.
+func TestMinimalModeLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	fp, err := os.ReadFile(filepath.Join("..", "bench", "progs", "funcptrs.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods := []struct {
+		name string
+		mod  *ir.Module
+	}{
+		{"funcptrs", lowerOpt(t, string(fp))},
+		{"testgen150", lowerOpt(t, testgen.Generate(1, testgen.Options{Funcs: 150}))},
+	}
+	env := NewEnv()
+	var gaps []float64
+	for _, c := range mods {
+		allocs := func(mode string) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := NewMachine(c.mod, env, Options{ProfileMode: mode}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		full, minimal := allocs(ProfileFull), allocs(ProfileMinimal)
+		t.Logf("%s: %d functions, NewMachine makes %.0f allocations in full mode, %.0f in minimal",
+			c.name, len(c.mod.Funcs), full, minimal)
+		if minimal-full > 2 {
+			t.Errorf("%s: minimal mode makes %.0f more allocations than full, want at most 2", c.name, minimal-full)
+		}
+		gaps = append(gaps, minimal-full)
+	}
+	if gaps[1] > gaps[0] {
+		t.Errorf("minimal mode's extra allocations grow with module size: %.0f on %s, %.0f on %s",
+			gaps[0], mods[0].name, gaps[1], mods[1].name)
 	}
 }

@@ -311,12 +311,10 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 		case bcCall:
 			ci := &bf.calls[in.aux]
 			calls++
-			if ci.countSite {
-				if m.sampleK <= 1 {
-					m.siteCounts[ci.site]++
-				} else {
-					m.bumpSite(int(ci.site))
-				}
+			if m.sampleK <= 1 {
+				m.siteCounts[ci.site]++
+			} else {
+				m.bumpSite(int(ci.site))
 			}
 			callArgs := ci.constArgs
 			if callArgs == nil {
@@ -345,7 +343,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				return 0, fault(pc, "unimplemented extern "+ci.sym)
 			}
 			externs++
-			if ci.countExtEntry {
+			if m.countEntries {
 				m.funcCounts[ci.extID]++
 			}
 			rv, err := ci.ext(m, callArgs)
@@ -364,12 +362,10 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			ci := &bf.calls[in.aux]
 			calls++
 			ptrs++
-			if ci.countSite {
-				if m.sampleK <= 1 {
-					m.siteCounts[ci.site]++
-				} else {
-					m.bumpSite(int(ci.site))
-				}
+			if m.sampleK <= 1 {
+				m.siteCounts[ci.site]++
+			} else {
+				m.bumpSite(int(ci.site))
 			}
 			target := regs[in.a]
 			callArgs := ci.constArgs
@@ -391,8 +387,8 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				if err != nil {
 					return 0, fault(pc, err.Error())
 				}
-				if m.ptrEntries != nil {
-					m.bumpPtrEntry(int32(pt.user.id))
+				if !m.countEntries {
+					m.bumpPtrEntry(pt.user.id)
 				}
 				m.bumpPtrTarget(int(ci.site), pt.user.id)
 				f = nf
@@ -407,11 +403,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			}
 			if pt != nil && pt.ext != nil {
 				externs++
-				if m.ptrEntries == nil {
-					m.funcCounts[pt.id]++
-				} else {
-					m.bumpPtrEntry(pt.id)
-				}
+				m.bumpPtrEntry(int(pt.id))
 				m.bumpPtrTarget(int(ci.site), int(pt.id))
 				rv, err := pt.ext(m, callArgs)
 				if err != nil {
@@ -526,7 +518,7 @@ func (m *Machine) pushBC(depth int, bf *bcFunc, callArgs []int64, retDst int32, 
 	if *sp > st.MaxStack {
 		st.MaxStack = *sp
 	}
-	if bf.countEntry {
+	if m.countEntries {
 		m.funcCounts[bf.id]++
 	}
 	return f, nil

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"inlinec/internal/ir"
 	"inlinec/internal/obs"
@@ -56,7 +57,7 @@ type Options struct {
 	// Engine selects the execution engine: EngineBytecode (the default
 	// when empty) or EngineSwitch.
 	Engine string
-	// ProfileMode selects how much profiling instrumentation runs:
+	// ProfileMode selects which profiling counters a run increments:
 	// ProfileFull (the default when empty), ProfileMinimal, or
 	// ProfileSampled. See profmode.go.
 	ProfileMode string
@@ -141,7 +142,7 @@ type Machine struct {
 	// call-site id to a compact pointer-site index (-1 for direct sites),
 	// ptrSiteIDs is the reverse map, and ptrTargetCounts is the flat
 	// [site index][dense function id] histogram. These are exact in every
-	// profile mode — never masked or sampled — because devirtualization
+	// profile mode — never sampled — because devirtualization
 	// needs true dominance fractions and minimal-mode profiles must stay
 	// byte-identical to full-mode ones. They are excluded from
 	// ProfileEvents.
@@ -152,22 +153,20 @@ type Machine struct {
 
 	// Profile-mode state (profmode.go). profileMode is the resolved
 	// Options.ProfileMode; sampleK the resolved 1-in-k rate (1 = exact).
-	// entryCount/siteCount are the coverage plan's counter masks (nil in
-	// full mode: everything counted); ptrEntries counts pointer-call
-	// entries per dense id in the reduced modes; siteSkip/ptrSkip are the
-	// deterministic sampling skip counters; recon holds the dense
-	// flow-conservation steps finalizeCounts replays; rootEntered records
-	// whether the run's initial push succeeded (the one entry per run no
-	// call arc witnesses).
-	profileMode string
-	sampleK     int64
-	entryCount  []bool
-	siteCount   []bool
-	ptrEntries  []int64
-	siteSkip    []int64
-	ptrSkip     []int64
-	recon       []denseRecon
-	rootEntered bool
+	// countEntries is set in full mode, the only mode that counts
+	// function entries as they happen; in the others directSites lists
+	// each direct call site with its callee, whose entry count
+	// finalizeCounts derives from the site's. siteSkip/ptrSkip are the
+	// deterministic sampling skip counters; rootEntered records whether
+	// the run's initial push succeeded (the one entry per run no call
+	// site witnesses).
+	profileMode  string
+	sampleK      int64
+	countEntries bool
+	directSites  []directSite
+	siteSkip     []int64
+	ptrSkip      []int64
+	rootEntered  bool
 
 	// frames/bframes are the pooled activation-record stacks, reused
 	// across calls and runs so the hot loop performs no per-call
@@ -188,8 +187,9 @@ type Machine struct {
 // module's initial globals and a zero stack and heap lent for that run.
 //
 // Loading does only module-wide work: function ids and addresses, extern
-// resolution, counter sizing, the profile-mode masks and the globals
-// layout. Every error a module can cause at load is reported here. The
+// resolution, counter sizing (with each direct site's callee in the
+// modes that count no entries) and the globals layout, in one scan of
+// the code. Every error a module can cause at load is reported here. The
 // bytecode engine translates each function when a run first enters it
 // and keeps the translation for the machine's later runs; the switch
 // engine resolves every function here. Nothing is shared between
@@ -231,23 +231,40 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 		m.impls = append(m.impls, impl)
 	}
 
+	if err := m.initProfileMode(); err != nil {
+		return nil, err
+	}
+
 	// Size the dense counters in one scan of the code: the largest
 	// call-site id, the pointer call sites in order of first appearance,
 	// and the externs calls name without declaring, which resolve by
-	// name only: they get a counter slot but no runtime address.
+	// name only: they get a counter slot but no runtime address. When
+	// entries go uncounted, the scan also collects each direct site that
+	// resolves, with its callee, in a pooled buffer.
 	maxCallID := 0
 	var ptrSites []int32
+	var direct *[]directSite
+	if !m.countEntries {
+		if direct, _ = siteScratch.Get().(*[]directSite); direct == nil {
+			direct = new([]directSite)
+		}
+	}
 	for _, f := range mod.Funcs {
 		for pc := range f.Code {
 			in := &f.Code[pc]
 			switch in.Op {
 			case ir.OpCall:
-				if _, ok := m.ids[in.Sym]; !ok {
+				id, ok := m.ids[in.Sym]
+				if !ok {
 					if impl, known := Externs[in.Sym]; known {
-						m.ids[in.Sym] = int32(len(m.funcNames))
+						id, ok = int32(len(m.funcNames)), true
+						m.ids[in.Sym] = id
 						m.funcNames = append(m.funcNames, in.Sym)
 						m.impls = append(m.impls, impl)
 					}
+				}
+				if ok && direct != nil {
+					*direct = append(*direct, directSite{int32(in.CallID), id})
 				}
 			case ir.OpCallPtr:
 				ptrSites = append(ptrSites, int32(in.CallID))
@@ -256,6 +273,11 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 			}
 			maxCallID = max(maxCallID, in.CallID)
 		}
+	}
+	if direct != nil {
+		m.directSites = slices.Clone(*direct)
+		*direct = (*direct)[:0]
+		siteScratch.Put(direct)
 	}
 	m.funcCounts = make([]int64, len(m.funcNames))
 	m.siteCounts = make([]int64, maxCallID+1)
@@ -272,11 +294,11 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 	}
 	m.ptrStride = len(m.funcCounts)
 	m.ptrTargetCounts = make([]int64, len(m.ptrSiteIDs)*m.ptrStride)
-	m.globalAddr, m.globalsLen = layoutGlobals(mod)
-
-	if err := m.initProfileMode(); err != nil {
-		return nil, err
+	if m.sampleK > 1 {
+		m.siteSkip = make([]int64, len(m.siteCounts))
+		m.ptrSkip = make([]int64, len(m.funcCounts))
 	}
+	m.globalAddr, m.globalsLen = layoutGlobals(mod)
 
 	switch opts.Engine {
 	case "", EngineBytecode:
@@ -538,7 +560,9 @@ func (m *Machine) push(depth int, cf *compiledFunc, callArgs []int64, retDst ir.
 	if *sp > st.MaxStack {
 		st.MaxStack = *sp
 	}
-	m.bumpEntry(cf.id)
+	if m.countEntries {
+		m.funcCounts[cf.id]++
+	}
 	return f, nil
 }
 
@@ -643,11 +667,7 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 			}
 		case ir.OpCall:
 			st.Calls++
-			if m.siteCount == nil {
-				m.siteCounts[in.CallID]++
-			} else {
-				m.bumpSite(in.CallID)
-			}
+			m.bumpSite(in.CallID)
 			callArgs := m.scratchArgs(len(in.Args))
 			for i, a := range in.Args {
 				callArgs[i] = f.val(a)
@@ -668,7 +688,9 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 				return 0, &RuntimeError{Func: f.cf.fn.Name, Pos: in.Pos, Msg: "unimplemented extern " + in.Sym}
 			}
 			st.ExternCalls++
-			m.bumpEntry(ct.id)
+			if m.countEntries {
+				m.funcCounts[ct.id]++
+			}
 			rv, err := ct.ext(m, callArgs)
 			if err != nil {
 				if _, isExit := err.(*exitError); isExit {
@@ -684,11 +706,7 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 		case ir.OpCallPtr:
 			st.Calls++
 			st.PtrCalls++
-			if m.siteCount == nil {
-				m.siteCounts[in.CallID]++
-			} else {
-				m.bumpSite(in.CallID)
-			}
+			m.bumpSite(in.CallID)
 			target := f.val(in.A)
 			callArgs := m.scratchArgs(len(in.Args))
 			for i, a := range in.Args {
@@ -702,8 +720,8 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 				if err != nil {
 					return 0, &RuntimeError{Func: f.cf.fn.Name, Pos: in.Pos, Msg: err.Error()}
 				}
-				if m.ptrEntries != nil {
-					m.bumpPtrEntry(int32(id))
+				if !m.countEntries {
+					m.bumpPtrEntry(id)
 				}
 				m.bumpPtrTarget(in.CallID, id)
 				f = nf
@@ -712,11 +730,7 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 			}
 			if id >= 0 {
 				st.ExternCalls++
-				if m.ptrEntries == nil {
-					m.funcCounts[id]++
-				} else {
-					m.bumpPtrEntry(int32(id))
-				}
+				m.bumpPtrEntry(id)
 				m.bumpPtrTarget(in.CallID, id)
 				rv, err := m.impls[id](m, callArgs)
 				if err != nil {

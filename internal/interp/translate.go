@@ -520,7 +520,6 @@ func (t *translator) function(bf *bcFunc) {
 
 	bf.consts = append([]int64(nil), t.consts...)
 	bf.numRegs = fn.NumRegs + len(bf.consts)
-	bf.countEntry = t.m.entryCount == nil || t.m.entryCount[bf.id]
 	bf.origPC = append([]int32(nil), t.origPC...)
 	bf.code = append([]bcInstr(nil), t.code...) // non-nil: bf is translated
 }
@@ -528,14 +527,12 @@ func (t *translator) function(bf *bcFunc) {
 // call emits the call at pc, resolving a direct callee by name.
 func (t *translator) call(in *ir.Instr, pc int) {
 	m := t.m
-	info := bcCallInfo{site: int32(in.CallID), dst: int32(in.Dst), sym: in.Sym,
-		countSite: m.siteCount == nil || m.siteCount[in.CallID]}
+	info := bcCallInfo{site: int32(in.CallID), dst: int32(in.Dst), sym: in.Sym}
 	if id, ok := m.ids[in.Sym]; ok && in.Op == ir.OpCall {
 		if int(id) < len(m.bfuncs) {
 			info.user = &m.bfuncs[id]
 		} else {
 			info.ext, info.extID = m.impls[id], id
-			info.countExtEntry = m.entryCount == nil || m.entryCount[id]
 		}
 	}
 	n := len(in.Args)

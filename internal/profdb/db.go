@@ -511,7 +511,17 @@ func (db *DB) mergeAt(fingerprint string, maxGen int, p MergeParams) (*Record, *
 			}
 		}
 	}
-	round := func(v float64) int64 { return int64(math.Round(v)) }
+	round := func(v float64) int64 {
+		// A sum outside the int64 range saturates: converting it would
+		// give an arbitrary value.
+		switch {
+		case v >= math.MaxInt64:
+			return math.MaxInt64
+		case v <= math.MinInt64:
+			return math.MinInt64
+		}
+		return int64(math.Round(v))
+	}
 	out.Runs = int(round(runs))
 	if out.Runs == 0 && runs > 0 {
 		out.Runs = 1

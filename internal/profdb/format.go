@@ -362,6 +362,9 @@ func ReadDB(r io.Reader) (*DB, error) {
 			if err != nil {
 				return nil, err
 			}
+			if gen < 0 {
+				return nil, d.errf("negative generation %d", gen)
+			}
 			rec = NewRecord(fields[1], int(gen))
 			seen = make(map[string]int)
 		case "end":
@@ -448,6 +451,9 @@ func ReadSnapshot(r io.Reader) (program string, rec *Record, err error) {
 			v, err := d.num(fields[1])
 			if err != nil {
 				return "", nil, err
+			}
+			if v < 0 {
+				return "", nil, d.errf("negative generation %d", v)
 			}
 			rec.Gen = int(v)
 		default:

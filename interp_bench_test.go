@@ -131,8 +131,8 @@ func BenchmarkInterpDispatch(b *testing.B) {
 // Program.Run and every profiling worker's first run does: NewMachine
 // plus that first Run. The 150-function generated module enters part of
 // its code on an empty input; funcptrs runs its first input in minimal
-// profile mode, which also builds the coverage plan. -benchmem shows the
-// load's bytes and allocations per op.
+// profile mode, whose load also records each direct site's callee.
+// -benchmem shows the load's bytes and allocations per op.
 func BenchmarkLoad(b *testing.B) {
 	gen, err := inlinec.Compile("gen150.c", testgen.Generate(1, testgen.Options{Funcs: 150}))
 	if err != nil {

@@ -68,8 +68,8 @@ func transformAt(t *testing.T, src string, par int, inputs []Input) (*Program, *
 //  4. A partially inlined site's fallback fires at most as often as the
 //     original call did.
 //  5. Minimal-mode profiles of the transformed module serialize
-//     byte-identically to full mode — flow-conservation reconstruction
-//     stays exact across the new guard diamonds.
+//     byte-identically to full mode — entry counts derived from site
+//     counts stay exact across the new guard diamonds.
 //
 // An aggregate assertion at the end requires that both features
 // actually fired across the seed set, so the suite cannot rot into

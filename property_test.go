@@ -2,7 +2,6 @@ package inlinec
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"inlinec/internal/inline"
@@ -87,103 +86,6 @@ func TestPropertyInlinePreservesSemantics(t *testing.T) {
 			}
 			if got2 := runChecked(t, p, false); got2 != want {
 				t.Fatalf("post-inline optimization changed output\nwant %q\ngot %q\nsource:\n%s", want, got2, src)
-			}
-		})
-	}
-}
-
-// truncatedSrc ends some runs with exit() mid-call-chain, so Returns !=
-// Calls and frames die without unwinding — the hardest case for
-// flow-conservation reconstruction, since entry counts and site counts
-// disagree transiently at the moment of death.
-const truncatedSrc = `
-extern int exit(int code);
-int leaf(int n) { return n + 1; }
-int mid(int n) {
-	int i;
-	i = 0;
-	while (i < 10) { leaf(i); i = i + 1; }
-	if (n > 3) exit(7);
-	return leaf(n);
-}
-int main() {
-	int i;
-	i = 0;
-	while (i < 6) { mid(i); i = i + 1; }
-	return 0;
-}
-`
-
-// TestPropertyMinimalProfileExact: for program shapes covering every
-// call-arc kind (direct, recursive, pointer-valued, indirect, extern)
-// and for truncated runs, the minimal profile mode must serialize
-// byte-identically to full mode at every worker count — reconstruction
-// by flow conservation is exact, not approximate. Sampled mode must
-// stay within its deterministic per-site bound of (k-1) per run.
-func TestPropertyMinimalProfileExact(t *testing.T) {
-	shapes := []testgen.Options{
-		{},
-		{Funcs: 10, Recursion: true},
-		{Funcs: 5, Pointers: true, Recursion: true},
-		{Funcs: 6, FuncPtrs: true},
-		{Funcs: 4, FuncPtrs: true, Extern: true, Pointers: true},
-		{Funcs: 9, FuncPtrs: true, Extern: true, Recursion: true, MaxStmts: 8},
-		{Funcs: 7, HotColdBodies: true, DominantFuncPtr: true},
-	}
-	srcs := []string{truncatedSrc}
-	for i, shape := range shapes {
-		srcs = append(srcs, testgen.Generate(int64(3000+i), shape))
-	}
-	inputs := []Input{{}, {Stdin: []byte("4\n")}, {Stdin: []byte("1 2 3\n")}, {Stdin: []byte("x")}, {}, {Stdin: []byte("42\n")}}
-
-	serialize := func(t *testing.T, src, mode string, rate, par int) (*Profile, string) {
-		t.Helper()
-		p, err := Compile("prop.c", src)
-		if err != nil {
-			t.Fatalf("compile: %v\n%s", err, src)
-		}
-		p.ProfileMode = mode
-		p.SampleRate = rate
-		p.Parallelism = par
-		prof, err := p.ProfileInputs(inputs...)
-		if err != nil {
-			t.Fatalf("profile (mode %s, par %d): %v", mode, par, err)
-		}
-		var sb strings.Builder
-		if _, err := prof.WriteTo(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return prof, sb.String()
-	}
-
-	for si, src := range srcs {
-		src := src
-		t.Run(fmt.Sprintf("src%d", si), func(t *testing.T) {
-			t.Parallel()
-			full, ref := serialize(t, src, "full", 0, 1)
-			for _, par := range []int{1, 2, 8} {
-				if _, got := serialize(t, src, "minimal", 0, par); got != ref {
-					t.Errorf("minimal profile at Parallelism %d is not byte-identical to full:\nfull:\n%s\nminimal:\n%s", par, ref, got)
-				}
-			}
-			// Sampled: each site may under-report by at most k-1 events per
-			// run, never over-report.
-			const k = 16
-			sampled, _ := serialize(t, src, "sampled", k, 1)
-			bound := int64((k - 1) * len(inputs))
-			for id, want := range full.SiteCounts {
-				got := sampled.SiteCounts[id]
-				if got > want || want-got > bound {
-					t.Errorf("sampled site %d count %d outside [%d-%d, %d] (k=%d, %d runs)",
-						id, got, want, bound, want, k, len(inputs))
-				}
-			}
-			if sampled.SampleRate != k {
-				t.Errorf("sampled profile carries rate %d, want %d", sampled.SampleRate, k)
-			}
-			if sampled.ProfileEvents >= full.ProfileEvents {
-				t.Errorf("sampled mode performed %d profile events, full %d — no reduction",
-					sampled.ProfileEvents, full.ProfileEvents)
 			}
 		})
 	}
